@@ -15,31 +15,18 @@ import json
 import os
 import sys
 
-from .constructions import (
-    build_G,
-    build_H,
-    build_H_star,
-    build_essential_counterexample,
-    build_psi_tree,
-    build_theta_chain,
-)
 from .formulas import PhiParams, phi, phi_conjecture_bound
 from .graph import (
     BipartitionView,
     Graph,
     PathWitness,
-    biconnected_components,
     decode_graph6,
     encode_graph6,
     export_dot,
     export_json,
     high_degree_vertices,
-    induced_subgraph,
-    is_connected,
-    is_essentially_two_connected,
 )
-from .canonical import are_isomorphic
-from .oracle import SUITES, run_suite
+from .oracle import CONSTRUCTIONS, SUITES, run_suite
 from .solvers import (
     LemmaViolationError,
     PathCover,
@@ -74,8 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_phi.add_argument("--json", action="store_true")
 
     p_con = sub.add_parser("construct", help="build an extremal graph")
-    p_con.add_argument("kind", choices=["H", "H-star", "G", "theta-chain",
-                                        "psi-tree", "essential-cx"])
+    p_con.add_argument("kind", choices=list(CONSTRUCTIONS))
     p_con.add_argument("params", type=int, nargs="*")
     p_con.add_argument("--pendants",
                        help="essential-cx only: comma-separated pendant counts per X-vertex")
@@ -135,103 +121,28 @@ def _cmd_phi(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_CONSTRUCT_ARITY = {"H": 2, "H-star": 2, "G": 3, "theta-chain": 4,
-                    "psi-tree": 4, "essential-cx": 1}
-
-
-def _construct_checks(kind: str, params: list[int], g: Graph,
-                      view: BipartitionView | None) -> list[tuple[str, bool, str]]:
-    checks: list[tuple[str, bool, str]] = []
-
-    def add(name: str, ok: bool, detail: str = "") -> None:
-        checks.append((name, ok, detail))
-
-    if kind == "H":
-        d, k = params
-        c = (k - 1) // 2
-        add("vertex-count", g.n == d + 1, f"{g.n}")
-        hc = high_degree_vertices(g, d).bit_count()
-        add("high-degree-count", hc == c, f"{hc}")
-    elif kind == "H-star":
-        d, k = params
-        add("vertex-count", g.n == 2 * d + 2 - k // 2, f"{g.n}")
-        hc = high_degree_vertices(g, d).bit_count()
-        add("high-degree-count", hc == k // 2, f"{hc}")
-        add("path-free", contains_path(g, k + 1) is None, f"no path on {k + 1} vertices")
-    elif kind == "G":
-        n, d, k = params
-        add("vertex-count", g.n == n, f"{g.n}")
-        hc = high_degree_vertices(g, d).bit_count()
-        add("high-degree-count", hc == phi(PhiParams(n, d, k)) - 1, f"{hc}")
-        add("path-free", contains_path(g, k + 1) is None, f"no path on {k + 1} vertices")
-    elif kind == "theta-chain":
-        d, k, alpha, beta = params
-        add("vertex-count", g.n == 1 + d + alpha * beta * d, f"{g.n}")
-        hc = high_degree_vertices(g, d).bit_count()
-        add("high-degree-count", hc == (1 + alpha * beta) * (k // 2) + beta, f"{hc}")
-        length, _ = longest_cycle(g)
-        add("circumference", length <= k, f"{length}")
-        model = build_H(d, k + 1)
-        blocks_ok = all(are_isomorphic(induced_subgraph(g, bm)[0], model)
-                        for bm in biconnected_components(g))
-        add("blocks", blocks_ok, "every block matches the one-vertex-deeper join")
-    elif kind == "psi-tree":
-        d, k, alpha, beta = params
-        add("vertex-count", g.n == 1 + beta * (1 + alpha * d), f"{g.n}")
-        hc = high_degree_vertices(g, d).bit_count()
-        add("high-degree-count", hc == alpha * beta * ((k - 3) // 4) + beta + 1, f"{hc}")
-        add("connected", is_connected(g), "")
-        add("path-free", contains_path(g, k + 1) is None, f"no path on {k + 1} vertices")
-    else:
-        d = params[0]
-        assert view is not None
-        add("x-size", view.x_mask.bit_count() == d, f"{view.x_mask.bit_count()}")
-        add("y-size", view.y_mask.bit_count() >= 2 * d - 1, f"{view.y_mask.bit_count()}")
-        add("min-x-degree", view.min_x_degree() >= d, f"{view.min_x_degree()}")
-        add("essentially-2-connected", is_essentially_two_connected(g), "")
-        add("no-cycle-through-x", find_cycle_through_X(view) is None, "")
-    return checks
+_FORMATS = {
+    "graph6": lambda g, high: encode_graph6(g) + "\n",
+    "dot": lambda g, high: export_dot(g, highlight=high),
+    "json": lambda g, high: export_json(g, high_degree=high) + "\n",
+}
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    kind = args.kind
-    arity = _CONSTRUCT_ARITY[kind]
-    if len(args.params) != arity:
-        raise ValueError(f"{kind} takes {arity} integer parameter(s), got {len(args.params)}")
-    view: BipartitionView | None = None
-    if kind == "H":
-        g = build_H(*args.params)
-        d = args.params[0]
-    elif kind == "H-star":
-        g = build_H_star(*args.params)
-        d = args.params[0]
-    elif kind == "G":
-        g = build_G(*args.params)
-        d = args.params[1]
-    elif kind == "theta-chain":
-        g = build_theta_chain(*args.params)
-        d = args.params[0]
-    elif kind == "psi-tree":
-        g = build_psi_tree(*args.params)
-        d = args.params[0]
-    else:
-        d = args.params[0]
-        pendants = None
-        if args.pendants:
-            pendants = [int(tok) for tok in args.pendants.split(",")]
-        view = build_essential_counterexample(d, pendants)
-        g = view.graph
-    high = high_degree_vertices(g, d)
-    if args.fmt == "graph6":
-        print(encode_graph6(g))
-    elif args.fmt == "dot":
-        print(export_dot(g, highlight=high), end="")
-    else:
-        print(export_json(g, high_degree=high))
+    kind, params = args.kind, tuple(args.params)
+    spec = CONSTRUCTIONS[kind]
+    if len(params) != spec.arity:
+        raise ValueError(f"{kind} takes {spec.arity} integer parameter(s), got {len(params)}")
+    if args.pendants is not None and kind != "essential-cx":
+        raise ValueError("--pendants applies to essential-cx only")
+    pendants = [[int(tok) for tok in args.pendants.split(",")]] if args.pendants else []
+    built = spec.build(*params, *pendants)
+    g = built.graph if isinstance(built, BipartitionView) else built
+    print(_FORMATS[args.fmt](g, high_degree_vertices(g, params[spec.degree])), end="")
     if not args.verify:
         return EXIT_OK
     failed = False
-    for name, ok, detail in _construct_checks(kind, args.params, g, view):
+    for name, ok, detail in spec.checks(params, built):
         suffix = f" ({detail})" if detail else ""
         print(f"{name}: {'ok' if ok else 'FAIL'}{suffix}")
         failed = failed or not ok
@@ -361,6 +272,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise ValueError(f"--jobs must be between 1 and {cpus}, got {args.jobs}")
     report = run_suite(args.suite, seed=args.seed, trials=args.trials,
                        max_n=args.max_n, jobs=args.jobs)
     if args.json:

@@ -8,7 +8,7 @@ trailing isolated vertices take the highest labels.
 
 from __future__ import annotations
 
-from .formulas import PhiParams, phi, psi_tree_counts
+from .formulas import PhiParams, phi, psi_tree_counts, theta_chain_formula
 from .graph import BipartitionView, Graph, build_graph, mask_of
 
 
@@ -134,7 +134,7 @@ def build_theta_chain(d: int, k: int, alpha: int, beta: int) -> Graph:
                 next_attach = low[0]
         attach = next_attach
     g = build_graph(nxt, edges)
-    assert g.n == 1 + d + alpha * beta * d
+    assert g.n == theta_chain_formula(d, k, alpha, beta)[0]
     return g
 
 

@@ -76,9 +76,12 @@ def theta_chain_counts(d: int, k: int, alpha: int, beta: int) -> tuple[int, int]
         raise ValueError(
             f"parameter domain violated: d={d} != (1+alpha)*floor(k/2)={(1 + alpha) * (k // 2)}"
         )
-    n = 1 + d + alpha * beta * d
-    high = (1 + alpha * beta) * (k // 2) + beta
-    return n, high
+    return theta_chain_formula(d, k, alpha, beta)
+
+
+def theta_chain_formula(d: int, k: int, alpha: int, beta: int) -> tuple[int, int]:
+    """(n, high) of build_theta_chain on its whole domain, unvalidated."""
+    return 1 + d + alpha * beta * d, (1 + alpha * beta) * (k // 2) + beta
 
 
 def psi_tree_counts(d: int, k: int, alpha: int, beta: int) -> tuple[int, int]:

@@ -6,6 +6,11 @@ seeded random bipartite instances satisfying the cycle and path-cover
 hypotheses exactly. Suites bind these to the solvers and emit machine-readable
 reports.
 
+Three tables hold what the suites and the CLI share: CONSTRUCTIONS (each
+construction kind's builder, stated counts and property checks),
+_TRIAL_SUITES (what each randomized suite samples and solves) and _SUITES
+(suite name to suite function, in the order of SUITES).
+
 Everything is deterministic given the seed, including under --jobs
 parallelism: work is distributed over an ordered list of cells and results are
 aggregated in cell order.
@@ -16,17 +21,29 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing import Pool
 
 from .canonical import are_isomorphic, certificate_adj, graph_from_certificate
 from .constructions import (
     build_G,
     build_H,
+    build_H_star,
+    build_essential_counterexample,
     build_psi_tree,
     build_theta_chain,
+    expected_high_count,
 )
-from .formulas import PhiParams, phi, psi_lower_bound, theta_upper_bound
+from .formulas import (
+    PhiParams,
+    phi,
+    psi_lower_bound,
+    psi_tree_counts,
+    theta_chain_formula,
+    theta_upper_bound,
+)
 from .graph import (
     BipartitionView,
     Graph,
@@ -58,8 +75,6 @@ from .solvers import (
 ENUMERATION_MAX = 9
 BRUTEFORCE_DEFAULT_MAX = 8
 PROFILES = ("jackson", "klz", "essential", "lemma35")
-SUITES = ("formula-vs-oracle", "construction-invariants", "jackson", "klz",
-          "essential", "lemma35", "merge", "theta-psi")
 
 # per-instance safety net; the suite graphs are tiny and never get near it
 _TRIAL_BUDGET = SearchBudget(node_limit=5_000_000)
@@ -258,6 +273,86 @@ def hypothesis_holds(b: BipartitionView, d: int, profile: str, t: int = 1) -> bo
 
 
 # ---------------------------------------------------------------------------
+# constructions: how each kind is built and what it is claimed to satisfy
+#
+# Entries reach builders and solvers through this module's globals at call
+# time, never through stored function objects, so that whatever patches those
+# globals (a tracer, a test double) sees every call.
+
+Check = tuple[str, bool, str]  # (name, ok, detail)
+
+
+def _path_free(k_at: int) -> Callable[..., Check]:
+    """No path on k+1 vertices, k being parameter number k_at."""
+    def check(p: tuple[int, ...], g: Graph, view: BipartitionView | None) -> Check:
+        k = p[k_at]
+        return "path-free", contains_path(g, k + 1) is None, f"no path on {k + 1} vertices"
+    return check
+
+
+def _circumference(p: tuple[int, ...], g: Graph, view: BipartitionView | None) -> Check:
+    length, _ = longest_cycle(g)
+    return "circumference", length <= p[1], f"{length}"
+
+
+def _blocks(p: tuple[int, ...], g: Graph, view: BipartitionView | None) -> Check:
+    model = build_H(p[0], p[1] + 1)
+    ok = all(are_isomorphic(induced_subgraph(g, bm)[0], model)
+             for bm in biconnected_components(g))
+    return "blocks", ok, "every block matches the one-vertex-deeper join"
+
+
+_ESSENTIAL_CHECKS = (
+    lambda p, g, b: ("x-size", b.x_mask.bit_count() == p[0], f"{b.x_mask.bit_count()}"),
+    lambda p, g, b: ("y-size", b.y_mask.bit_count() >= 2 * p[0] - 1, f"{b.y_mask.bit_count()}"),
+    lambda p, g, b: ("min-x-degree", b.min_x_degree() >= p[0], f"{b.min_x_degree()}"),
+    lambda p, g, b: ("essentially-2-connected", is_essentially_two_connected(g), ""),
+    lambda p, g, b: ("no-cycle-through-x", find_cycle_through_X(b) is None, ""),
+)
+
+
+@dataclass(frozen=True)
+class Construction:
+    """One construction kind: its parameters, its builder and its claims."""
+
+    arity: int
+    degree: int  # index of d among the parameters
+    build: Callable[..., Graph | BipartitionView]
+    counts: Callable[..., tuple[int, int]] | None  # stated (vertices, degree->=d vertices)
+    properties: tuple[Callable[..., Check], ...]
+
+    def checks(self, params: tuple[int, ...], built: Graph | BipartitionView) -> list[Check]:
+        """Stated counts first, then the property checks, in order."""
+        view = built if isinstance(built, BipartitionView) else None
+        g = view.graph if view else built
+        out: list[Check] = []
+        if self.counts is not None:
+            n, high = self.counts(*params)
+            hc = high_degree_vertices(g, params[self.degree]).bit_count()
+            out += [("vertex-count", g.n == n, f"{g.n}"),
+                    ("high-degree-count", hc == high, f"{hc}")]
+        return out + [check(params, g, view) for check in self.properties]
+
+
+CONSTRUCTIONS = {
+    "H": Construction(2, 0, lambda d, k: build_H(d, k),
+                      lambda d, k: (d + 1, (k - 1) // 2), ()),
+    "H-star": Construction(2, 0, lambda d, k: build_H_star(d, k),
+                           lambda d, k: (2 * d + 2 - k // 2, k // 2), (_path_free(1),)),
+    "G": Construction(3, 1, lambda n, d, k: build_G(n, d, k),
+                      lambda n, d, k: (n, expected_high_count(n, d, k)), (_path_free(2),)),
+    "theta-chain": Construction(4, 0, lambda *p: build_theta_chain(*p),
+                                theta_chain_formula, (_circumference, _blocks)),
+    "psi-tree": Construction(4, 0, lambda *p: build_psi_tree(*p),
+                             psi_tree_counts,
+                             (lambda p, g, b: ("connected", is_connected(g), ""), _path_free(1))),
+    "essential-cx": Construction(
+        1, 0, lambda d, pendants=None: build_essential_counterexample(d, pendants),
+        None, _ESSENTIAL_CHECKS),
+}
+
+
+# ---------------------------------------------------------------------------
 # reports and suites
 
 @dataclass
@@ -293,60 +388,46 @@ def _map_cells(fn, cells: list, jobs: int) -> list:
         return pool.map(fn, cells, chunksize=max(1, len(cells) // (jobs * 8)))
 
 
-def _aggregate_trials(results: list[tuple[str, int, int, str | None]],
-                      params: dict) -> tuple[str, dict, str | None, dict]:
-    fails = [r for r in results if r[0] == "fail"]
-    inconclusive = [r for r in results if r[0] == "inconclusive"]
-    counts = {
-        "trials": len(results),
-        "succeeded": len(results) - len(fails) - len(inconclusive),
-        "failed": len(fails),
-        "inconclusive": len(inconclusive),
-    }
-    witness = None
-    if fails:
-        outcome = "fail"
-        _, d, i, witness = fails[0]
-        params = dict(params, first_failure={"d": d, "trial": i})
-    elif inconclusive:
-        outcome = "inconclusive"
-        _, d, i, witness = inconclusive[0]
-        params = dict(params, first_inconclusive={"d": d, "trial": i})
-    else:
-        outcome = "pass"
-    return outcome, counts, witness, params
+# Trial suites: each trial samples an instance from its own sub-seed, solves it
+# under _TRIAL_BUDGET and classifies the answer: ok, fail (the claim does not
+# hold, or a solver reports a violated guarantee) or inconclusive (budget).
+
+@dataclass(frozen=True)
+class _TrialSuite:
+    claim: str
+    cells: tuple[tuple[int, ...], ...]  # d first; a trial seeds with (*cell, index)
+    per_cell: int                       # default trials per cell
+    params: Callable[[int], dict]       # report params, given the trials per cell
+    sample: Callable                    # (sub-seed, *cell) -> (graph, instance)
+    solve: Callable                     # (graph, instance, *cell) -> holds; may run out of budget
 
 
-def _cycle_trial(args: tuple[str, int, int, int]) -> tuple[str, int, int, str | None]:
-    profile, seed, d, i = args
-    b = random_bipartite_instance(derive_seed(seed, d, i), d, profile)
-    if not hypothesis_holds(b, d, profile):
-        return "fail", d, i, encode_graph6(b.graph)
-    try:
-        cyc = find_cycle_through_X(b, _TRIAL_BUDGET)
-    except SearchBudgetExceeded:
-        return "inconclusive", d, i, encode_graph6(b.graph)
-    if cyc is None:
-        return "fail", d, i, encode_graph6(b.graph)
-    return "ok", d, i, None
+def _sample_bipartite(profile: str):
+    def sample(seed: int, d: int, t: int = 1) -> tuple[Graph, BipartitionView]:
+        b = random_bipartite_instance(seed, d, profile, t)
+        return b.graph, b
+    return sample
 
 
-def _cover_trial(args: tuple[int, int, int, int]) -> tuple[str, int, int, str | None]:
-    seed, d, t, i = args
-    b = random_bipartite_instance(derive_seed(seed, d, t, i), d, "lemma35", t)
-    if not hypothesis_holds(b, d, "lemma35", t):
-        return "fail", d, i, encode_graph6(b.graph)
-    try:
-        cover = path_cover_of_X(b, t, _TRIAL_BUDGET)
-    except SearchBudgetExceeded:
-        return "inconclusive", d, i, encode_graph6(b.graph)
-    if cover is None or len(cover.paths) > t + 1 or b.x_mask & ~cover.vertex_mask():
-        return "fail", d, i, encode_graph6(b.graph)
-    return "ok", d, i, None
+def _cycle_trials(profile: str) -> _TrialSuite:
+    return _TrialSuite(
+        claim=f"every {profile}-hypothesis instance has a cycle through all of X",
+        cells=((3,), (4,), (5,), (6,)),
+        per_cell=1000,
+        params=lambda per: {"profile": profile, "per_d": per, "d_values": [3, 4, 5, 6]},
+        sample=_sample_bipartite(profile),
+        solve=lambda g, b, d: (hypothesis_holds(b, d, profile)
+                               and find_cycle_through_X(b, _TRIAL_BUDGET) is not None))
 
 
-def _random_merge_instance(rng: random.Random, d: int) -> tuple[Graph, PathCover]:
+def _covers(b: BipartitionView, t: int, cover: PathCover | None) -> bool:
+    return (cover is not None and len(cover.paths) <= t + 1
+            and not b.x_mask & ~cover.vertex_mask())
+
+
+def _random_merge_instance(seed: int, d: int) -> tuple[Graph, PathCover]:
     """Connected graph on at most 2d+1 vertices plus a valid high-end family."""
+    rng = random.Random(seed)
     for _ in range(1000):
         n = rng.randint(d + 1, 2 * d + 1)
         p = rng.uniform(0.45, 0.85)
@@ -377,21 +458,75 @@ def _random_merge_instance(rng: random.Random, d: int) -> tuple[Graph, PathCover
     raise RuntimeError(f"merge instance sampling failed (d={d})")
 
 
-def _merge_trial(args: tuple[int, int, int]) -> tuple[str, int, int, str | None]:
-    seed, d, i = args
-    rng = random.Random(derive_seed(seed, d, i))
-    g, family = _random_merge_instance(rng, d)
+_TRIAL_SUITES = {
+    **{profile: _cycle_trials(profile) for profile in ("jackson", "klz", "essential")},
+    "lemma35": _TrialSuite(
+        claim=("every path-cover-hypothesis instance splits into at most t+1 "
+               "disjoint paths covering X"),
+        cells=((3, 1), (3, 2), (4, 1), (4, 2)),
+        per_cell=500,
+        params=lambda per: {"per_cell": per, "cells": [[3, 1], [3, 2], [4, 1], [4, 2]]},
+        sample=_sample_bipartite("lemma35"),
+        solve=lambda g, b, d, t: (hypothesis_holds(b, d, "lemma35", t)
+                                  and _covers(b, t, path_cover_of_X(b, t, _TRIAL_BUDGET)))),
+    "merge": _TrialSuite(
+        claim="every valid family in a small graph merges into one high-end path",
+        cells=((3,), (4,), (5,)),
+        per_cell=500,
+        params=lambda per: {"per_d": per, "d_values": [3, 4, 5]},
+        sample=_random_merge_instance,
+        solve=lambda g, family, d: (
+            merge_high_end_paths(g, d, family, _TRIAL_BUDGET) is not None)),
+}
+
+
+def _run_trial(args: tuple[str, int, tuple[int, ...], int]) -> tuple[str, int, int, str | None]:
+    """One trial of a suite in _TRIAL_SUITES: (outcome, d, trial index, witness)."""
+    suite, seed, cell, i = args
+    spec = _TRIAL_SUITES[suite]
+    g, instance = spec.sample(derive_seed(seed, *cell, i), *cell)
     try:
-        merge_high_end_paths(g, d, family, _TRIAL_BUDGET)
+        ok = spec.solve(g, instance, *cell)
     except SearchBudgetExceeded:
-        return "inconclusive", d, i, encode_graph6(g)
+        return "inconclusive", cell[0], i, encode_graph6(g)
     except LemmaViolationError:
-        return "fail", d, i, encode_graph6(g)
-    return "ok", d, i, None
+        ok = False
+    return ("ok", cell[0], i, None) if ok else ("fail", cell[0], i, encode_graph6(g))
+
+
+def _suite_trials(suite: str, seed: int, trials: int | None, max_n: int | None,
+                  jobs: int) -> VerificationReport:
+    spec = _TRIAL_SUITES[suite]
+    per = spec.per_cell if trials is None else trials
+    if per < 1:
+        raise ValueError(f"trials must be >= 1, got {per}")
+    results = _map_cells(_run_trial, [(suite, seed, cell, i)
+                                      for cell in spec.cells for i in range(per)], jobs)
+    fails = [r for r in results if r[0] == "fail"]
+    inconclusive = [r for r in results if r[0] == "inconclusive"]
+    counts = {
+        "trials": len(results),
+        "succeeded": len(results) - len(fails) - len(inconclusive),
+        "failed": len(fails),
+        "inconclusive": len(inconclusive),
+    }
+    params = spec.params(per)
+    witness = None
+    if fails:
+        outcome = "fail"
+        _, d, i, witness = fails[0]
+        params["first_failure"] = {"d": d, "trial": i}
+    elif inconclusive:
+        outcome = "inconclusive"
+        _, d, i, witness = inconclusive[0]
+        params["first_inconclusive"] = {"d": d, "trial": i}
+    else:
+        outcome = "pass"
+    return VerificationReport(spec.claim, params, outcome, counts, witness=witness)
 
 
 def _suite_formula_vs_oracle(seed: int, trials: int | None, max_n: int | None,
-                             jobs: int) -> tuple[str, dict, str | None, dict, str]:
+                             jobs: int) -> VerificationReport:
     cap = BRUTEFORCE_DEFAULT_MAX if max_n is None else max_n
     if not 2 <= cap <= ENUMERATION_MAX:
         raise ValueError(f"max-n out of range for formula-vs-oracle (2..{ENUMERATION_MAX})")
@@ -412,12 +547,11 @@ def _suite_formula_vs_oracle(seed: int, trials: int | None, max_n: int | None,
     if mismatches:
         n, d, k, bf, closed = mismatches[0]
         witness = _extremal_witness(n, d, k)
-        params = dict(params, first_mismatch={"n": n, "d": d, "k": k,
-                                              "bruteforce": bf, "formula": closed})
-    counts = {"triples": triples, "mismatches": len(mismatches)}
-    outcome = "fail" if mismatches else "pass"
-    claim = "closed-form threshold equals brute force over all admissible (n,d,k)"
-    return outcome, counts, witness, params, claim
+        params["first_mismatch"] = {"n": n, "d": d, "k": k, "bruteforce": bf, "formula": closed}
+    return VerificationReport(
+        "closed-form threshold equals brute force over all admissible (n,d,k)", params,
+        "fail" if mismatches else "pass", {"triples": triples, "mismatches": len(mismatches)},
+        witness=witness)
 
 
 def _extremal_witness(n: int, d: int, k: int) -> str:
@@ -434,146 +568,80 @@ def _extremal_witness(n: int, d: int, k: int) -> str:
     return encode_graph6(best)
 
 
-def _construction_cell(args: tuple[int, int, int]) -> tuple[str, int, int, str | None]:
-    n, d, k = args
-    g = build_G(n, d, k)
-    ok = (g.n == n
-          and high_degree_vertices(g, d).bit_count() == phi(PhiParams(n, d, k)) - 1
-          and contains_path(g, k + 1) is None)
-    if ok:
-        return "ok", d, n, None
-    return "fail", d, n, encode_graph6(g)
+def _construction_cell(params: tuple[int, int, int]) -> str | None:
+    """graph6 of build_G(n, d, k) if one of its checks fails, else None."""
+    spec = CONSTRUCTIONS["G"]
+    g = spec.build(*params)
+    return None if all(ok for _, ok, _ in spec.checks(params, g)) else encode_graph6(g)
 
 
 def _suite_construction_invariants(seed: int, trials: int | None, max_n: int | None,
-                                   jobs: int) -> tuple[str, dict, str | None, dict, str]:
+                                   jobs: int) -> VerificationReport:
     cap = 60 if max_n is None else max_n
+    if cap < 2:
+        raise ValueError("max-n out of range for construction-invariants (>= 2)")
     cells = [(n, d, k)
              for k in range(1, 9)
              for d in range(k, 11)
              for n in range(d + 1, cap + 1)]
-    results = _map_cells(_construction_cell, cells, jobs)
-    fails = [(cells[i], r[3]) for i, r in enumerate(results) if r[0] == "fail"]
-    counts = {"triples": len(cells), "failures": len(fails)}
+    witnesses = _map_cells(_construction_cell, cells, jobs)
+    fails = [(cell, w) for cell, w in zip(cells, witnesses) if w is not None]
     params: dict = {"max_n": cap}
     witness = None
     if fails:
         (n, d, k), witness = fails[0]
-        params = dict(params, first_failure={"n": n, "d": d, "k": k})
-    claim = ("every lower-bound construction has the stated vertex count, "
-             "high-degree count, and no path on k+1 vertices")
-    return ("fail" if fails else "pass"), counts, witness, params, claim
-
-
-def _cycle_suite(profile: str, seed: int, trials: int | None,
-                 jobs: int) -> tuple[str, dict, str | None, dict, str]:
-    per_d = 1000 if trials is None else trials
-    ds = (3, 4, 5, 6)
-    cells = [(profile, seed, d, i) for d in ds for i in range(per_d)]
-    results = _map_cells(_cycle_trial, cells, jobs)
-    params = {"profile": profile, "per_d": per_d, "d_values": list(ds)}
-    outcome, counts, witness, params = _aggregate_trials(results, params)
-    claim = f"every {profile}-hypothesis instance has a cycle through all of X"
-    return outcome, counts, witness, params, claim
-
-
-def _suite_lemma35(seed: int, trials: int | None, max_n: int | None,
-                   jobs: int) -> tuple[str, dict, str | None, dict, str]:
-    per_cell = 500 if trials is None else trials
-    combos = [(3, 1), (3, 2), (4, 1), (4, 2)]
-    cells = [(seed, d, t, i) for d, t in combos for i in range(per_cell)]
-    results = _map_cells(_cover_trial, cells, jobs)
-    params = {"per_cell": per_cell, "cells": [list(c) for c in combos]}
-    outcome, counts, witness, params = _aggregate_trials(results, params)
-    claim = "every path-cover-hypothesis instance splits into at most t+1 disjoint paths covering X"
-    return outcome, counts, witness, params, claim
-
-
-def _suite_merge(seed: int, trials: int | None, max_n: int | None,
-                 jobs: int) -> tuple[str, dict, str | None, dict, str]:
-    per_d = 500 if trials is None else trials
-    ds = (3, 4, 5)
-    cells = [(seed, d, i) for d in ds for i in range(per_d)]
-    results = _map_cells(_merge_trial, cells, jobs)
-    params = {"per_d": per_d, "d_values": list(ds)}
-    outcome, counts, witness, params = _aggregate_trials(results, params)
-    claim = "every valid family in a small graph merges into one high-end path"
-    return outcome, counts, witness, params, claim
+        params["first_failure"] = {"n": n, "d": d, "k": k}
+    return VerificationReport(
+        "every lower-bound construction has the stated vertex count, "
+        "high-degree count, and no path on k+1 vertices", params,
+        "fail" if fails else "pass", {"triples": len(cells), "failures": len(fails)},
+        witness=witness)
 
 
 def _suite_theta_psi(seed: int, trials: int | None, max_n: int | None,
-                     jobs: int) -> tuple[str, dict, str | None, dict, str]:
-    failures: list[str] = []
-    checks = 0
+                     jobs: int) -> VerificationReport:
+    checks: list[tuple[str, bool]] = []
+    for kind, label, params in (("theta-chain", "chain", (4, 4, 1, 1)),
+                                ("theta-chain", "chain", (6, 4, 2, 2)),
+                                ("theta-chain", "chain", (4, 5, 2, 1)),
+                                ("psi-tree", "tree", (3, 7, 2, 3))):
+        spec = CONSTRUCTIONS[kind]
+        tag = f"{label}({','.join(map(str, params))})"
+        checks += [(f"{tag}: {name}", ok)
+                   for name, ok, _ in spec.checks(params, spec.build(*params))]
+        # the stated counts against the classical reference bounds
+        n, high = spec.counts(*params)
+        d, k = params[:2]
+        if kind == "psi-tree":
+            checks.append((f"{tag}: beats classical count", high > psi_lower_bound(n, d, k) - 1))
+        elif d >= k:
+            checks.append((f"{tag}: below cycle reference bound",
+                           high < theta_upper_bound(n, d, k)))
+    failures = [name for name, ok in checks if not ok]
+    return VerificationReport(
+        "the cycle-threshold chains and the connected-threshold tree have their stated counts",
+        {"failed_checks": failures} if failures else {}, "fail" if failures else "pass",
+        {"checks": len(checks), "failures": len(failures)})
 
-    def check(name: str, ok: bool) -> None:
-        nonlocal checks
-        checks += 1
-        if not ok:
-            failures.append(name)
 
-    for d, k, alpha, beta in ((4, 4, 1, 1), (6, 4, 2, 2), (4, 5, 2, 1)):
-        tag = f"chain({d},{k},{alpha},{beta})"
-        g = build_theta_chain(d, k, alpha, beta)
-        check(f"{tag}: vertex count", g.n == 1 + d + alpha * beta * d)
-        expected = (1 + alpha * beta) * (k // 2) + beta
-        check(f"{tag}: high-degree count",
-              high_degree_vertices(g, d).bit_count() == expected)
-        length, _ = longest_cycle(g)
-        check(f"{tag}: circumference", length <= k)
-        block_model = build_H(d, k + 1)
-        blocks_ok = all(
-            are_isomorphic(induced_subgraph(g, bm)[0], block_model)
-            for bm in biconnected_components(g))
-        check(f"{tag}: blocks", blocks_ok)
-        if d >= k:
-            check(f"{tag}: below cycle reference bound",
-                  expected < theta_upper_bound(g.n, d, k))
-    g = build_psi_tree(3, 7, 2, 3)
-    check("tree(3,7,2,3): vertex count", g.n == 22)
-    check("tree(3,7,2,3): connected", is_connected(g))
-    check("tree(3,7,2,3): no 8-vertex path", contains_path(g, 8) is None)
-    high = high_degree_vertices(g, 3).bit_count()
-    check("tree(3,7,2,3): high-degree count", high == 10)
-    check("tree(3,7,2,3): beats classical count", high > psi_lower_bound(22, 3, 7) - 1)
-    counts = {"checks": checks, "failures": len(failures)}
-    params: dict = {}
-    if failures:
-        params = {"failed_checks": failures}
-    claim = "the cycle-threshold chains and the connected-threshold tree have their stated counts"
-    return ("fail" if failures else "pass"), counts, None, params, claim
+_SUITES = {
+    "formula-vs-oracle": _suite_formula_vs_oracle,
+    "construction-invariants": _suite_construction_invariants,
+    **{suite: partial(_suite_trials, suite) for suite in _TRIAL_SUITES},
+    "theta-psi": _suite_theta_psi,
+}
+SUITES = tuple(_SUITES)
 
 
 def run_suite(suite_id: str, *, seed: int = 0, trials: int | None = None,
               max_n: int | None = None, jobs: int = 1) -> VerificationReport:
     """Execute one verification suite; deterministic given seed."""
-    if suite_id not in SUITES:
+    if suite_id not in _SUITES:
         raise ValueError(f"unknown suite: {suite_id}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     start = time.monotonic()
-    if suite_id == "formula-vs-oracle":
-        outcome, counts, witness, params, claim = _suite_formula_vs_oracle(
-            seed, trials, max_n, jobs)
-    elif suite_id == "construction-invariants":
-        outcome, counts, witness, params, claim = _suite_construction_invariants(
-            seed, trials, max_n, jobs)
-    elif suite_id in ("jackson", "klz", "essential"):
-        outcome, counts, witness, params, claim = _cycle_suite(
-            suite_id, seed, trials, jobs)
-    elif suite_id == "lemma35":
-        outcome, counts, witness, params, claim = _suite_lemma35(
-            seed, trials, max_n, jobs)
-    elif suite_id == "merge":
-        outcome, counts, witness, params, claim = _suite_merge(
-            seed, trials, max_n, jobs)
-    else:
-        outcome, counts, witness, params, claim = _suite_theta_psi(
-            seed, trials, max_n, jobs)
-    return VerificationReport(
-        claim=claim,
-        params=params,
-        outcome=outcome,
-        counts=counts,
-        seed=seed,
-        witness=witness,
-        runtime=time.monotonic() - start,
-    )
+    report = _SUITES[suite_id](seed, trials, max_n, jobs)
+    report.seed = seed
+    report.runtime = time.monotonic() - start
+    return report

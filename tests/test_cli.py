@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import pathforce.__main__
+import pathforce.oracle
 from pathforce.cli import main
 from pathforce.graph import build_graph, decode_graph6, encode_graph6
 
@@ -108,6 +109,13 @@ class TestConstructCommand:
     def test_domain_error_exits_two(self, capsys):
         code, _, err = run_cli(capsys, ["construct", "essential-cx", "2"])
         assert code == 2
+
+    def test_pendants_only_for_essential_cx(self, capsys):
+        code, out, err = run_cli(capsys, ["construct", "G", "13", "4", "4",
+                                          "--pendants", "1,2"])
+        assert code == 2
+        assert out == ""
+        assert "--pendants applies to essential-cx only" in err
 
 
 class TestSolveCommand:
@@ -238,6 +246,26 @@ class TestOracleCommand:
         code, _, err = run_cli(capsys, ["oracle", "formula-vs-oracle", "--max-n", "12"])
         assert code == 2
         assert "max-n out of range" in err
+
+    @pytest.mark.parametrize("argv", [["jackson", "--trials", "0"],
+                                      ["merge", "--trials", "-5"],
+                                      ["construction-invariants", "--max-n", "1"]])
+    def test_empty_run_exits_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, ["oracle", *argv])
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
+    @pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
+    def test_jobs_out_of_range_exits_two(self, capsys, monkeypatch, jobs):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+        monkeypatch.setattr(pathforce.oracle, "Pool", no_pool)
+        code, out, err = run_cli(capsys, ["oracle", "jackson", "--trials", "3",
+                                          "--jobs", str(jobs)])
+        assert code == 2
+        assert out == ""
+        assert "--jobs must be between 1 and" in err
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -6,10 +6,12 @@ from itertools import combinations
 
 import pytest
 
+import pathforce.oracle as oracle
 from pathforce.canonical import certificate_bruteforce, graph_from_certificate
 from pathforce.formulas import PhiParams, phi
-from pathforce.graph import build_graph
+from pathforce.graph import PathWitness, build_graph
 from pathforce.oracle import (
+    CONSTRUCTIONS,
     ENUMERATION_MAX,
     PROFILES,
     SUITES,
@@ -22,6 +24,7 @@ from pathforce.oracle import (
     random_bipartite_instance,
     run_suite,
 )
+from pathforce.solvers import LemmaViolationError
 
 KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346, 9: 274668}
 
@@ -206,3 +209,50 @@ class TestRunSuite:
         assert set(SUITES) == {"formula-vs-oracle", "construction-invariants",
                                "jackson", "klz", "essential", "lemma35",
                                "merge", "theta-psi"}
+
+    @pytest.mark.parametrize("suite,trials", [("jackson", 0), ("merge", -5), ("lemma35", 0)])
+    def test_empty_trial_run_rejected(self, suite, trials):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            run_suite(suite, trials=trials)
+
+    @pytest.mark.parametrize("max_n", [0, 1])
+    def test_empty_construction_run_rejected(self, max_n):
+        with pytest.raises(ValueError, match="max-n out of range"):
+            run_suite("construction-invariants", max_n=max_n)
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_suite("jackson", trials=3, jobs=jobs)
+
+    def test_violated_guarantee_is_a_failure(self, monkeypatch):
+        def path_cover_of_X(b, t, budget=None):
+            raise LemmaViolationError("no cover")
+        monkeypatch.setattr(oracle, "path_cover_of_X", path_cover_of_X)
+        report = run_suite("lemma35", trials=2)
+        assert report.outcome == "fail"
+        assert report.counts["failed"] == report.counts["trials"] == 8
+        assert report.params["first_failure"] == {"d": 3, "trial": 0}
+        assert report.witness is not None
+
+    def test_theta_psi_failures_use_construction_check_names(self, monkeypatch):
+        monkeypatch.setattr(oracle, "contains_path",
+                            lambda g, m, budget=None: PathWitness(tuple(range(m))))
+        report = run_suite("theta-psi")
+        assert report.outcome == "fail"
+        assert report.counts == {"checks": 19, "failures": 1}
+        assert report.params == {"failed_checks": ["tree(3,7,2,3): path-free"]}
+
+
+class TestConstructionTable:
+    def test_builders_resolved_at_call_time(self, monkeypatch):
+        # a tracer patches module globals; the table must see the patched name
+        calls = []
+        real = oracle.build_G
+        monkeypatch.setattr(oracle, "build_G", lambda *p: calls.append(p) or real(*p))
+        spec = CONSTRUCTIONS["G"]
+        g = spec.build(13, 4, 4)
+        assert calls == [(13, 4, 4)]
+        assert [name for name, ok, _ in spec.checks((13, 4, 4), g) if ok] == [
+            "vertex-count", "high-degree-count", "path-free"]
+
