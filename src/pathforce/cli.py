@@ -81,7 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sol.add_argument("--d", type=int, help="degree threshold for merge")
     p_sol.add_argument("--family",
                        help="merge family: semicolon-separated comma-separated paths")
-    p_sol.add_argument("--engine", default="auto", choices=["auto", "dp", "dfs"])
     p_sol.add_argument("--node-limit", type=int)
     p_sol.add_argument("--time-limit", type=float)
     p_sol.add_argument("--force", action="store_true",
@@ -194,7 +193,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     task = args.task
     try:
         if task == "longest-path":
-            res = longest_path(g, budget, engine=args.engine)
+            res = longest_path(g, budget)
             if args.json:
                 payload = {"task": task, "length": res.length, "optimal": res.optimal,
                            "witness": list(res.witness.vertices) if res.witness else None}

@@ -9,7 +9,8 @@ reports.
 Three tables hold what the suites and the CLI share: CONSTRUCTIONS (each
 construction kind's builder, stated counts and property checks),
 _TRIAL_SUITES (what each randomized suite samples and solves) and _SUITES
-(suite name to suite function, in the order of SUITES).
+(suite name to suite function and the size parameter it takes, in the order
+of SUITES).
 
 Everything is deterministic given the seed, including under --jobs
 parallelism: work is distributed over an ordered list of cells and results are
@@ -154,7 +155,7 @@ def enumerate_graphs(n: int, jobs: int = 1):
 def _class_stats_cell(args: tuple[int, int]) -> tuple[int, tuple[int, ...]]:
     n, cert = args
     g = graph_from_certificate(n, cert)
-    length = longest_path(g, engine="dp").length
+    length = longest_path(g).length
     return length, g.degree_sequence()
 
 
@@ -480,22 +481,22 @@ _TRIAL_SUITES = {
 }
 
 
-def _run_trial(args: tuple[str, int, tuple[int, ...], int]) -> tuple[str, int, int, str | None]:
-    """One trial of a suite in _TRIAL_SUITES: (outcome, d, trial index, witness)."""
+def _run_trial(args: tuple[str, int, tuple[int, ...], int]
+               ) -> tuple[str, tuple[int, ...], int, str | None]:
+    """One trial of a suite in _TRIAL_SUITES: (outcome, cell, trial index, witness)."""
     suite, seed, cell, i = args
     spec = _TRIAL_SUITES[suite]
     g, instance = spec.sample(derive_seed(seed, *cell, i), *cell)
     try:
         ok = spec.solve(g, instance, *cell)
     except SearchBudgetExceeded:
-        return "inconclusive", cell[0], i, encode_graph6(g)
+        return "inconclusive", cell, i, encode_graph6(g)
     except LemmaViolationError:
         ok = False
-    return ("ok", cell[0], i, None) if ok else ("fail", cell[0], i, encode_graph6(g))
+    return ("ok", cell, i, None) if ok else ("fail", cell, i, encode_graph6(g))
 
 
-def _suite_trials(suite: str, seed: int, trials: int | None, max_n: int | None,
-                  jobs: int) -> VerificationReport:
+def _suite_trials(suite: str, seed: int, trials: int | None, jobs: int) -> VerificationReport:
     spec = _TRIAL_SUITES[suite]
     per = spec.per_cell if trials is None else trials
     if per < 1:
@@ -511,22 +512,16 @@ def _suite_trials(suite: str, seed: int, trials: int | None, max_n: int | None,
         "inconclusive": len(inconclusive),
     }
     params = spec.params(per)
-    witness = None
-    if fails:
-        outcome = "fail"
-        _, d, i, witness = fails[0]
-        params["first_failure"] = {"d": d, "trial": i}
-    elif inconclusive:
-        outcome = "inconclusive"
-        _, d, i, witness = inconclusive[0]
-        params["first_inconclusive"] = {"d": d, "trial": i}
-    else:
-        outcome = "pass"
+    outcome, witness = "pass", None
+    if fails or inconclusive:
+        outcome, cell, i, witness = (fails or inconclusive)[0]
+        # a trial is named by its cell's coordinates (d, then t) and its index
+        params["first_failure" if fails else "first_inconclusive"] = {
+            **dict(zip(("d", "t"), cell)), "trial": i}
     return VerificationReport(spec.claim, params, outcome, counts, witness=witness)
 
 
-def _suite_formula_vs_oracle(seed: int, trials: int | None, max_n: int | None,
-                             jobs: int) -> VerificationReport:
+def _suite_formula_vs_oracle(seed: int, max_n: int | None, jobs: int) -> VerificationReport:
     cap = BRUTEFORCE_DEFAULT_MAX if max_n is None else max_n
     if not 2 <= cap <= ENUMERATION_MAX:
         raise ValueError(f"max-n out of range for formula-vs-oracle (2..{ENUMERATION_MAX})")
@@ -555,17 +550,10 @@ def _suite_formula_vs_oracle(seed: int, trials: int | None, max_n: int | None,
 
 
 def _extremal_witness(n: int, d: int, k: int) -> str:
-    """graph6 of an enumerated graph attaining the brute-force maximum."""
-    best_count = -1
-    best: Graph | None = None
-    for g in enumerate_graphs(n):
-        if longest_path(g, engine="dp").length <= k:
-            count = high_degree_vertices(g, d).bit_count()
-            if count > best_count:
-                best_count = count
-                best = g
-    assert best is not None
-    return encode_graph6(best)
+    """graph6 of the first enumerated graph attaining the brute-force maximum."""
+    _, i = max((sum(1 for x in degs if x >= d), -i)
+               for i, (length, degs) in enumerate(_graph_stats(n)) if length <= k)
+    return encode_graph6(graph_from_certificate(n, level_certs(n)[-i]))
 
 
 def _construction_cell(params: tuple[int, int, int]) -> str | None:
@@ -575,7 +563,7 @@ def _construction_cell(params: tuple[int, int, int]) -> str | None:
     return None if all(ok for _, ok, _ in spec.checks(params, g)) else encode_graph6(g)
 
 
-def _suite_construction_invariants(seed: int, trials: int | None, max_n: int | None,
+def _suite_construction_invariants(seed: int, max_n: int | None,
                                    jobs: int) -> VerificationReport:
     cap = 60 if max_n is None else max_n
     if cap < 2:
@@ -598,8 +586,7 @@ def _suite_construction_invariants(seed: int, trials: int | None, max_n: int | N
         witness=witness)
 
 
-def _suite_theta_psi(seed: int, trials: int | None, max_n: int | None,
-                     jobs: int) -> VerificationReport:
+def _suite_theta_psi(seed: int, _size: None, jobs: int) -> VerificationReport:
     checks: list[tuple[str, bool]] = []
     for kind, label, params in (("theta-chain", "chain", (4, 4, 1, 1)),
                                 ("theta-chain", "chain", (6, 4, 2, 2)),
@@ -624,11 +611,13 @@ def _suite_theta_psi(seed: int, trials: int | None, max_n: int | None,
         {"checks": len(checks), "failures": len(failures)})
 
 
+# suite name -> (suite function, the one size parameter it takes, if any);
+# a suite function is called as fn(seed, value of that parameter, jobs)
 _SUITES = {
-    "formula-vs-oracle": _suite_formula_vs_oracle,
-    "construction-invariants": _suite_construction_invariants,
-    **{suite: partial(_suite_trials, suite) for suite in _TRIAL_SUITES},
-    "theta-psi": _suite_theta_psi,
+    "formula-vs-oracle": (_suite_formula_vs_oracle, "max_n"),
+    "construction-invariants": (_suite_construction_invariants, "max_n"),
+    **{suite: (partial(_suite_trials, suite), "trials") for suite in _TRIAL_SUITES},
+    "theta-psi": (_suite_theta_psi, None),
 }
 SUITES = tuple(_SUITES)
 
@@ -640,8 +629,13 @@ def run_suite(suite_id: str, *, seed: int = 0, trials: int | None = None,
         raise ValueError(f"unknown suite: {suite_id}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    fn, takes = _SUITES[suite_id]
+    given = {"trials": trials, "max_n": max_n}
+    for name, value in given.items():
+        if value is not None and name != takes:
+            raise ValueError(f"suite {suite_id} takes no {name.replace('_', '-')}")
     start = time.monotonic()
-    report = _SUITES[suite_id](seed, trials, max_n, jobs)
+    report = fn(seed, given.get(takes), jobs)
     report.seed = seed
     report.runtime = time.monotonic() - start
     return report

@@ -12,6 +12,7 @@ Witnesses are re-validated against the host graph before being returned.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .canonical import certificate_adj
@@ -31,7 +32,6 @@ from .graph import (
 )
 
 SUBSET_DP_CAP = 24
-_AUTO_DP_MAX = 18
 _COMPONENT_DEDUP_MAX = 32
 
 
@@ -138,13 +138,28 @@ def _reach_mask(adj: tuple[int, ...], seeds: int, allowed: int) -> int:
     return reach
 
 
-def _path_search_component(g: Graph, comp: int, m: int, meter: _Meter) -> list[int] | None:
-    """Exact search for a path on m vertices inside one component.
+def _twin_representatives(adj: tuple[int, ...], cand: int) -> Iterator[int]:
+    """The vertices of cand, skipping any that is a twin of one already given.
 
-    Branches once per twin class at each node: vertices with equal open
-    neighborhoods, or equal closed neighborhoods, are swapped by an
-    automorphism fixing everything else, so trying one suffices.
+    Twins (equal open neighborhoods, or equal closed neighborhoods) are
+    swapped by an automorphism fixing everything else, so a search that
+    branches on one of them need not branch on the other.
     """
+    tried_open: set[int] = set()
+    tried_closed: set[int] = set()
+    for u in bits(cand):
+        ko = adj[u]
+        kc = ko | 1 << u
+        if ko in tried_open or kc in tried_closed:
+            continue
+        tried_open.add(ko)
+        tried_closed.add(kc)
+        yield u
+
+
+def _path_search_component(g: Graph, comp: int, m: int, meter: _Meter) -> list[int] | None:
+    """Exact search for a path on m vertices inside one component, branching
+    once per twin class at each node."""
     adj = g.adj
     stack: list[int] = []
 
@@ -161,31 +176,51 @@ def _path_search_component(g: Graph, comp: int, m: int, meter: _Meter) -> list[i
             if reach.bit_count() < need:
                 stack.pop()
                 return False
-        tried_open: set[int] = set()
-        tried_closed: set[int] = set()
-        for u in bits(cand):
-            ko = adj[u]
-            kc = ko | 1 << u
-            if ko in tried_open or kc in tried_closed:
-                continue
-            tried_open.add(ko)
-            tried_closed.add(kc)
+        for u in _twin_representatives(adj, cand):
             if dfs(u, visited):
                 return True
         stack.pop()
         return False
 
-    tried_open: set[int] = set()
-    tried_closed: set[int] = set()
-    for s in bits(comp):
-        ko = adj[s]
-        kc = ko | 1 << s
-        if ko in tried_open or kc in tried_closed:
-            continue
-        tried_open.add(ko)
-        tried_closed.add(kc)
+    for s in _twin_representatives(adj, comp):
         if dfs(s, 0):
             return stack
+    return None
+
+
+def _component_classes(g: Graph, min_size: int) -> Iterator[int]:
+    """Components with at least min_size vertices, ordered by lowest vertex.
+
+    Isomorphic components hold the same paths, so when there is more than
+    one, and none exceeds _COMPONENT_DEDUP_MAX vertices, only the first of
+    each isomorphism class is yielded. Certificates are computed lazily, as
+    the caller asks for the next component.
+    """
+    comps = [c for c in connected_components(g) if c.bit_count() >= min_size]
+    comps.sort(key=lambda c: c & -c)
+    if len(comps) < 2 or any(c.bit_count() > _COMPONENT_DEDUP_MAX for c in comps):
+        yield from comps
+        return
+    seen: set[tuple[int, int]] = set()
+    for comp in comps:
+        sub, _ = induced_subgraph(g, comp)
+        key = (sub.n, certificate_adj(sub.n, sub.adj))
+        if key not in seen:
+            seen.add(key)
+            yield comp
+
+
+def _search_components(g: Graph, comps: Iterable[int], m: int,
+                       meter: _Meter) -> PathWitness | None:
+    """The first path on m vertices found in comps, searched in order."""
+    for comp in comps:
+        if comp.bit_count() >= m:
+            found = _path_search_component(g, comp, m, meter)
+            if found is not None:
+                wit = PathWitness(tuple(found))
+                wit.validate(g)
+                assert len(wit.vertices) == m
+                return wit
     return None
 
 
@@ -199,51 +234,39 @@ def contains_path(g: Graph, m: int, budget: SearchBudget | None = None) -> PathW
         wit = PathWitness((0,))
         wit.validate(g)
         return wit
-    meter = _Meter(budget)
-    comps = [c for c in connected_components(g) if c.bit_count() >= m]
-    comps.sort(key=lambda c: c & -c)
-    # isomorphic components hold the same paths; search one per class
-    dedup = len(comps) > 1 and all(c.bit_count() <= _COMPONENT_DEDUP_MAX for c in comps)
-    seen: set[tuple[int, int]] = set()
-    for comp in comps:
-        if dedup:
-            sub, _ = induced_subgraph(g, comp)
-            key = (sub.n, certificate_adj(sub.n, sub.adj))
-            if key in seen:
-                continue
-            seen.add(key)
-        found = _path_search_component(g, comp, m, meter)
-        if found is not None:
-            wit = PathWitness(tuple(found))
-            wit.validate(g)
-            assert len(wit.vertices) == m
-            return wit
-    return None
+    return _search_components(g, _component_classes(g, m), m, _Meter(budget))
 
 
-def _dp_component(sub: Graph) -> tuple[int, list[int]]:
-    """Exact longest path in a connected graph by subset dynamic programming.
+def _longest_path_dp(g: Graph, meter: _Meter) -> tuple[list[int], bool]:
+    """Longest path by subset dynamic programming, and whether it is optimal.
 
     State: for each vertex subset, the bitmask of endpoints of paths covering
-    exactly that subset. Layered by subset size, full table kept for
-    reconstruction.
+    exactly that subset; only subsets inside one component ever arise.
+    Layered by subset size, full table kept for reconstruction. The meter
+    ticks once per (subset, end) state expanded; when it runs out, the path
+    is rebuilt from the last complete layer and is not optimal.
     """
-    n = sub.n
-    adj = sub.adj
+    n = g.n
+    adj = g.adj
     table: dict[int, int] = {1 << v: 1 << v for v in range(n)}
     layer = dict(table)
     last_layer = layer
-    while layer:
-        grown: dict[int, int] = {}
-        for mask, ends in layer.items():
-            for e in bits(ends):
-                for u in bits(adj[e] & ~mask):
-                    key = mask | 1 << u
-                    grown[key] = grown.get(key, 0) | 1 << u
-        if grown:
-            table.update(grown)
-            last_layer = grown
-        layer = grown
+    optimal = True
+    try:
+        while layer:
+            grown: dict[int, int] = {}
+            for mask, ends in layer.items():
+                for e in bits(ends):
+                    meter.tick()
+                    for u in bits(adj[e] & ~mask):
+                        key = mask | 1 << u
+                        grown[key] = grown.get(key, 0) | 1 << u
+            if grown:
+                table.update(grown)
+                last_layer = grown
+            layer = grown
+    except SearchBudgetExceeded:
+        optimal = False
     final_mask = min(last_layer)
     end = last_layer[final_mask] & -last_layer[final_mask]
     e = end.bit_length() - 1
@@ -256,63 +279,42 @@ def _dp_component(sub: Graph) -> tuple[int, list[int]]:
         path.append(e)
         mask = prev
     path.reverse()
-    return len(path), path
-
-
-def _longest_path_dp(g: Graph) -> tuple[int, list[int]]:
-    best_len = 0
-    best_path: list[int] = []
-    comps = sorted(connected_components(g), key=lambda c: c & -c)
-    for comp in comps:
-        if comp.bit_count() <= best_len:
-            continue
-        sub, ids = induced_subgraph(g, comp)
-        length, local = _dp_component(sub)
-        if length > best_len:
-            best_len = length
-            best_path = [ids[v] for v in local]
-    return best_len, best_path
+    return path, optimal
 
 
 def longest_path(g: Graph, budget: SearchBudget | None = None,
-                 engine: str = "auto") -> LongestPathResult:
+                 engine: str = "dfs") -> LongestPathResult:
     """Maximum path vertex count with witness.
 
-    Engines: "dp" is exact subset DP (n capped at SUBSET_DP_CAP); "dfs" is
-    iterative deepening over contains_path, exact when the budget allows and
-    marked non-optimal otherwise; "auto" picks DP for small graphs.
+    The "dfs" engine deepens a path search over the components of
+    _component_classes one target length at a time. "dp" is the exact subset
+    DP (n capped at SUBSET_DP_CAP), kept as an independent reference. Both
+    are exact when the budget allows and return a lower bound marked
+    non-optimal otherwise.
     """
-    if engine not in ("auto", "dp", "dfs"):
+    if engine not in ("dfs", "dp"):
         raise ValueError(f"unknown engine: {engine}")
     if g.n == 0:
         return LongestPathResult(0, None, True)
-    if engine == "dp" or (engine == "auto" and g.n <= _AUTO_DP_MAX):
+    meter = _Meter(budget)
+    if engine == "dp":
         if g.n > SUBSET_DP_CAP:
             raise ValueError(f"dp engine limited to n <= {SUBSET_DP_CAP}")
-        length, verts = _longest_path_dp(g)
+        verts, optimal = _longest_path_dp(g, meter)
         wit = PathWitness(tuple(verts))
         wit.validate(g)
-        return LongestPathResult(length, wit, True)
-    meter = _Meter(budget)
-    best: PathWitness | None = None
-    length = 0
+        return LongestPathResult(len(verts), wit, optimal)
+    best = PathWitness((0,))
+    comps = list(_component_classes(g, 2))
     try:
-        for m in range(1, g.n + 1):
-            comps = [c for c in connected_components(g) if c.bit_count() >= m]
-            comps.sort(key=lambda c: c & -c)
-            found = None
-            for comp in comps:
-                found = _path_search_component(g, comp, m, meter)
-                if found is not None:
-                    break
+        for m in range(2, g.n + 1):
+            found = _search_components(g, comps, m, meter)
             if found is None:
-                return LongestPathResult(length, best, True)
-            best = PathWitness(tuple(found))
-            best.validate(g)
-            length = m
-        return LongestPathResult(length, best, True)
+                break
+            best = found
     except SearchBudgetExceeded:
-        return LongestPathResult(length, best, False)
+        return LongestPathResult(len(best.vertices), best, False)
+    return LongestPathResult(len(best.vertices), best, True)
 
 
 def _block_longest_cycle(sub: Graph, meter: _Meter, floor: int) -> tuple[int, list[int] | None]:

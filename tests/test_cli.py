@@ -137,6 +137,13 @@ class TestSolveCommand:
         assert payload["length"] == 6 and payload["optimal"] is True
         assert len(payload["witness"]) == 6
 
+    def test_engine_option_removed(self, capsys, monkeypatch):
+        self.feed(monkeypatch, cycle6_text())
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "longest-path", "--engine", "dp"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --engine dp" in capsys.readouterr().err
+
     def test_input_file(self, capsys, tmp_path):
         target = tmp_path / "g.g6"
         target.write_text(cycle6_text() + "\n")
@@ -249,7 +256,12 @@ class TestOracleCommand:
 
     @pytest.mark.parametrize("argv", [["jackson", "--trials", "0"],
                                       ["merge", "--trials", "-5"],
-                                      ["construction-invariants", "--max-n", "1"]])
+                                      ["construction-invariants", "--max-n", "1"],
+                                      ["theta-psi", "--trials", "0"],
+                                      ["theta-psi", "--max-n", "8"],
+                                      ["jackson", "--trials", "2", "--max-n", "1"],
+                                      ["formula-vs-oracle", "--max-n", "3", "--trials", "0"],
+                                      ["construction-invariants", "--trials", "2"]])
     def test_empty_run_exits_two(self, capsys, argv):
         code, out, err = run_cli(capsys, ["oracle", *argv])
         assert code == 2

@@ -137,7 +137,7 @@ class TestFailurePaths:
                             scripted(oracle.path_cover_of_X, fail_at={7}))
         assert run(capsys, "oracle lemma35 --trials 3 --json") == (1, report(
             COVER, '{"failed": 1, "inconclusive": 0, "succeeded": 11, "trials": 12}', "fail",
-            f'{{{COVER_CELLS}, "first_failure": {{"d": 4, "trial": 0}}, "per_cell": 3}}',
+            f'{{{COVER_CELLS}, "first_failure": {{"d": 4, "t": 1, "trial": 0}}, "per_cell": 3}}',
             '"I?BztrW{?"'))
 
     def test_merge_fail(self, capsys, monkeypatch):

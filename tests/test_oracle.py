@@ -9,7 +9,7 @@ import pytest
 import pathforce.oracle as oracle
 from pathforce.canonical import certificate_bruteforce, graph_from_certificate
 from pathforce.formulas import PhiParams, phi
-from pathforce.graph import PathWitness, build_graph
+from pathforce.graph import PathWitness, build_graph, decode_graph6
 from pathforce.oracle import (
     CONSTRUCTIONS,
     ENUMERATION_MAX,
@@ -166,6 +166,19 @@ class TestRunSuite:
         assert report.counts["triples"] == sum(
             1 for n in range(2, 6) for d in range(1, n) for k in range(1, d + 1))
 
+    def test_formula_mismatch_names_an_extremal_graph(self, monkeypatch):
+        real = oracle.phi
+        monkeypatch.setattr(oracle, "phi",
+                            lambda p: real(p) + ((p.n, p.d, p.k) == (5, 4, 3)))
+        report = run_suite("formula-vs-oracle", max_n=5)
+        assert report.outcome == "fail"
+        assert report.counts["mismatches"] == 1
+        assert report.params["first_mismatch"] == {
+            "n": 5, "d": 4, "k": 3, "bruteforce": 2, "formula": 3}
+        # the only 5-vertex graph with a degree-4 vertex and no 4-vertex path
+        g = decode_graph6(report.witness)
+        assert sorted(g.degree_sequence()) == [1, 1, 1, 1, 4]
+
     def test_formula_suite_range_check(self):
         with pytest.raises(ValueError, match="max-n out of range"):
             run_suite("formula-vs-oracle", max_n=12)
@@ -220,6 +233,18 @@ class TestRunSuite:
         with pytest.raises(ValueError, match="max-n out of range"):
             run_suite("construction-invariants", max_n=max_n)
 
+    @pytest.mark.parametrize("suite,params,unused", [
+        ("theta-psi", {"trials": 0}, "trials"),
+        ("theta-psi", {"max_n": 8}, "max-n"),
+        ("jackson", {"trials": 2, "max_n": 1}, "max-n"),
+        ("lemma35", {"max_n": 4}, "max-n"),
+        ("formula-vs-oracle", {"max_n": 3, "trials": 0}, "trials"),
+        ("construction-invariants", {"trials": 2}, "trials"),
+    ])
+    def test_unused_parameter_rejected(self, suite, params, unused):
+        with pytest.raises(ValueError, match=f"suite {suite} takes no {unused}"):
+            run_suite(suite, **params)
+
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected(self, jobs):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
@@ -232,7 +257,7 @@ class TestRunSuite:
         report = run_suite("lemma35", trials=2)
         assert report.outcome == "fail"
         assert report.counts["failed"] == report.counts["trials"] == 8
-        assert report.params["first_failure"] == {"d": 3, "trial": 0}
+        assert report.params["first_failure"] == {"d": 3, "t": 1, "trial": 0}
         assert report.witness is not None
 
     def test_theta_psi_failures_use_construction_check_names(self, monkeypatch):

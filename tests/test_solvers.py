@@ -1,6 +1,7 @@
 """Exact path and cycle searches, budgets, and the guarantee-backed solvers."""
 
 import random
+import time
 from itertools import combinations, permutations
 
 import pytest
@@ -131,14 +132,35 @@ class TestLongestPath:
     def test_dp_cap(self):
         with pytest.raises(ValueError, match="dp engine"):
             longest_path(build_graph(30, []), engine="dp")
-        with pytest.raises(ValueError, match="unknown engine"):
-            longest_path(build_graph(2, []), engine="magic")
+        for engine in ("magic", "auto"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                longest_path(build_graph(2, []), engine=engine)
 
     def test_budget_returns_lower_bound(self):
         g = random_graph(random.Random(412), 20, 0.5)
         res = longest_path(g, SearchBudget(node_limit=50), engine="dfs")
         assert not res.optimal
         assert res.length >= 1
+
+    def test_dp_honours_budget(self):
+        g = complete_graph(16)
+        start = time.monotonic()
+        res = longest_path(g, SearchBudget(node_limit=1000), engine="dp")
+        assert time.monotonic() - start < 0.5
+        assert not res.optimal
+        assert 1 <= res.length < 16
+        res.witness.validate(g)
+        assert len(res.witness.vertices) == res.length
+
+    def test_isomorphic_components_searched_once(self):
+        # four disjoint friendship graphs F3 (three triangles on one hub);
+        # 100 nodes settle one copy (longest path 5) but not all four
+        f3 = [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (0, 5), (0, 6), (5, 6)]
+        g = build_graph(28, [(u + 7 * i, v + 7 * i) for i in range(4) for u, v in f3])
+        res = longest_path(g, SearchBudget(node_limit=100))
+        assert res.optimal
+        assert res.length == 5
+        res.witness.validate(g)
 
     def test_empty_graph(self):
         res = longest_path(build_graph(0, []))
