@@ -105,43 +105,62 @@ _LEVELS: dict[int, tuple[int, ...]] = {1: (0,)}
 _STATS: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
 
 
-def _child_certs(n_prev: int, cert: int) -> set[int]:
-    """Certificates of all one-vertex extensions of one parent class."""
-    parent = graph_from_certificate(n_prev, cert)
-    new = n_prev
+def _top_vertices(rows: tuple[int, ...] | list[int]) -> list[int]:
+    """Vertices of maximum (degree, sorted neighbour degrees), in label order."""
+    deg = [r.bit_count() for r in rows]
+    d = max(deg)
+    inv = {v: sorted(deg[u] for u in bits(r)) for v, r in enumerate(rows) if deg[v] == d}
+    top = max(inv.values())
+    return [v for v, s in inv.items() if s == top]
+
+
+def _child_certs(args: tuple[int, int]) -> set[int]:
+    """Certificates of the classes whose canonical deletion gives this parent."""
+    n_prev, cert = args
+    adj = graph_from_certificate(n_prev, cert).adj
+    n, new_bit = n_prev + 1, 1 << n_prev
+    deg = [a.bit_count() for a in adj]
+    top = max(deg)
+    top_mask = mask_of(v for v in range(n_prev) if deg[v] == top)
     out: set[int] = set()
     for nb in range(1 << n_prev):
-        rows = list(parent.adj)
-        for v in bits(nb):
-            rows[v] |= 1 << new
-        rows.append(nb)
-        out.add(certificate_adj(new + 1, rows))
+        if nb.bit_count() < top + bool(nb & top_mask):
+            continue  # the new vertex's degree is not the maximum
+        rows = [a | new_bit if nb >> v & 1 else a for v, a in enumerate(adj)] + [nb]
+        ties = _top_vertices(rows)
+        if ties[-1] != n_prev:
+            continue  # the new vertex, the highest label, is not among the maxima
+        c = certificate_adj(n, rows)
+        if c in out:
+            continue
+        if len(ties) > 1:
+            canon = graph_from_certificate(n, c)
+            rest, _ = induced_subgraph(canon, (1 << n) - 1 ^ 1 << _top_vertices(canon.adj)[0])
+            if certificate_adj(n_prev, rest.adj) != cert:
+                continue
+        out.add(c)
     return out
-
-
-def _child_certs_cell(args: tuple[int, int]) -> set[int]:
-    return _child_certs(*args)
 
 
 def level_certs(n: int, jobs: int = 1) -> tuple[int, ...]:
     """Sorted canonical certificates of all isomorphism classes on n vertices.
 
-    Deleting any vertex of an n-vertex graph leaves some (n-1)-vertex class,
-    so growing every parent class by one vertex with every possible
-    neighborhood and deduplicating certificates covers all classes exactly
-    once.
+    Canonical augmentation (B. D. McKay, "Isomorph-free exhaustive
+    generation", J. Algorithms 26 (1998)), without automorphism groups. Let
+    inv(v) be (degree, sorted neighbour degrees) and m(C) the lowest-labelled
+    vertex of maximum inv in the canonical graph of class C. Parent P grown by
+    a vertex w into C keeps C iff inv(w) is the maximum and C - m(C) is
+    isomorphic to P; if w alone is maximum, m(C) is w's image and needs no
+    check. So a class comes only from the parent C - m(C), and is not lost:
+    that parent grown by m(C)'s neighbourhood passes the rule. The parents'
+    child sets are disjoint and together cover the level.
     """
     if not 1 <= n <= ENUMERATION_MAX:
         raise ValueError(f"enumeration limited to 1 <= n <= {ENUMERATION_MAX}")
     if n in _LEVELS:
         return _LEVELS[n]
-    parents = level_certs(n - 1, jobs)
-    cells = [(n - 1, c) for c in parents]
-    parts = _map_cells(_child_certs_cell, cells, jobs)
-    acc: set[int] = set()
-    for part in parts:
-        acc |= part
-    certs = tuple(sorted(acc))
+    parts = _map_cells(_child_certs, [(n - 1, c) for c in level_certs(n - 1, jobs)], jobs)
+    certs = tuple(sorted(c for part in parts for c in part))
     _LEVELS[n] = certs
     return certs
 

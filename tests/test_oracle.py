@@ -1,13 +1,15 @@
 """Independent ground truth: enumeration, brute-force thresholds, instance
 generators, and the verification suites."""
 
+import hashlib
 import json
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 import pathforce.oracle as oracle
-from pathforce.canonical import certificate_bruteforce, graph_from_certificate
+from pathforce.canonical import certificate_adj, certificate_bruteforce, graph_from_certificate
 from pathforce.formulas import PhiParams, phi
 from pathforce.graph import PathWitness, build_graph, decode_graph6
 from pathforce.oracle import (
@@ -27,6 +29,20 @@ from pathforce.oracle import (
 from pathforce.solvers import LemmaViolationError
 
 KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346, 9: 274668}
+
+# sha256 of ",".join(map(str, level_certs(n))), captured from the global-set
+# enumeration that grew every parent by every neighbourhood; _extremal_witness
+# and enumerate_graphs depend on this order and content.
+LEVEL_DIGESTS = {
+    1: "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+    2: "83b97b859aa5f81b2f0f86ba2a675efaf515ad2d5e2b8652cf2de7e1c2267350",
+    3: "e07a92fb5aaa979553ff4952bd4597b190f6f37b327b065caeb0272ef00c4a82",
+    4: "1f954cdcbe5d9b26bd1e165b6d252c9dd8c1207c433c253ba6eaf508eeaa447a",
+    5: "e841846dc8ee6488b5f4eba4cf78e50f8fdd09cb896ea35ac94637dde64948a6",
+    6: "20f3a544a005d293676dec378241a64354079e96f9e79392d60fb0f241f5705c",
+    7: "f662069ede6b06b62688400f8f814de8a2f30cdcc34c048c980f7df1f1e3af8d",
+    8: "2104a43585f8c53ac586220d848d63964bca1b83d655192480354d3280652c1d",
+}
 
 
 def all_labeled_graphs(n):
@@ -48,6 +64,36 @@ class TestEnumeration:
             assert len(fast) == len(naive)
             rebuilt = {certificate_bruteforce(graph_from_certificate(n, c)) for c in fast}
             assert rebuilt == naive
+
+    def test_levels_match_golden_digests(self):
+        for n, digest in LEVEL_DIGESTS.items():
+            text = ",".join(map(str, level_certs(n)))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, n
+
+    def test_each_class_has_one_parent(self):
+        for n in range(2, 8):
+            parts = [oracle._child_certs((n - 1, p)) for p in level_certs(n - 1)]
+            union = set().union(*parts)
+            assert sum(map(len, parts)) == len(union)
+            assert tuple(sorted(union)) == level_certs(n)
+
+    def test_parallel_matches_serial(self, monkeypatch):
+        serial = level_certs(7)
+        monkeypatch.setattr(oracle, "_LEVELS", {1: (0,)})
+        assert level_certs(7, jobs=2) == serial
+        assert set(oracle._LEVELS) == set(range(1, 8))
+
+    def test_networkx_atlas_lies_in_levels(self):
+        # the atlas lists every graph on up to 7 vertices, built independently
+        found = {6: set(), 7: set()}
+        for g in nx.graph_atlas_g():
+            n = g.number_of_nodes()
+            if n in found:
+                rows = [sum(1 << u for u in g[v]) for v in range(n)]
+                found[n].add(certificate_adj(n, rows))
+        for n, certs in found.items():
+            assert len(certs) == KNOWN_CLASS_COUNTS[n]
+            assert certs <= set(level_certs(n))
 
     def test_enumerate_graphs_yields_valid_graphs(self):
         seen = set()
