@@ -13,6 +13,13 @@ already exceeds the best completed one. Cells whose members are mutual twins
 (equal rows off the cell, uniformly empty or complete inside it) are
 interchangeable under automorphisms, so only one member is branched on.
 
+refine splits every cell by its vertices' neighbour counts in a splitter
+popped from a queue; the root queues the whole vertex set. A child that
+individualizes v in cell C of its parent's equitable partition queues only
+{v} and C - v, remainder first: each of its cells lies inside a parent cell,
+on which counts against any parent cell are uniform, so an old cell never
+splits anything. Refinement stops once the partition is discrete.
+
 certificate_bruteforce is an independent reference invariant (true minimum
 over all orderings, n <= 8). The two invariants differ as numbers but induce
 the same equivalence, which is what tests cross-check.
@@ -20,7 +27,7 @@ the same equivalence, which is what tests cross-check.
 
 from __future__ import annotations
 
-from itertools import permutations
+from collections.abc import Callable
 
 from .graph import Graph, bits
 
@@ -41,27 +48,40 @@ def pack_by_order(adj: tuple[int, ...] | list[int], order: list[int]) -> int:
     return cert
 
 
-def certificate_adj(n: int, adj: tuple[int, ...] | list[int]) -> int:
-    """Canonical certificate for an adjacency-row tuple (internal fast path)."""
+def certificate_adj(n: int, adj: tuple[int, ...] | list[int],
+                    tick: Callable[[], None] | None = None) -> int:
+    """Canonical certificate for an adjacency-row tuple (internal fast path).
+
+    tick, if given, is called once per search node, so a caller's budget can
+    stop the search by raising from it.
+    """
     if n > CANONICAL_MAX:
         raise ValueError(f"canonical form limited to n <= {CANONICAL_MAX}")
     if n <= 1:
         return 0
     nbits = n * (n - 1) // 2
 
-    def refine(cells: list[int]) -> list[int]:
-        queue = list(cells)
-        while queue:
+    def refine(cells: list[int], queue: list[int]) -> list[int]:
+        while queue and len(cells) < n:
             splitter = queue.pop()
+            touched = 0
+            rest = splitter
+            while rest:
+                low = rest & -rest
+                touched |= adj[low.bit_length() - 1]
+                rest ^= low
             out: list[int] = []
             for cell in cells:
-                if cell.bit_count() <= 1:
+                if cell.bit_count() <= 1 or not cell & touched:
                     out.append(cell)
                     continue
                 groups: dict[int, int] = {}
-                for v in bits(cell):
-                    cnt = (adj[v] & splitter).bit_count()
-                    groups[cnt] = groups.get(cnt, 0) | (1 << v)
+                rest = cell
+                while rest:
+                    low = rest & -rest
+                    cnt = (adj[low.bit_length() - 1] & splitter).bit_count()
+                    groups[cnt] = groups.get(cnt, 0) | low
+                    rest ^= low
                 if len(groups) == 1:
                     out.append(cell)
                 else:
@@ -87,9 +107,12 @@ def certificate_adj(n: int, adj: tuple[int, ...] | list[int]) -> int:
 
     # Invariant: cells[0:len(order)] are the placed singletons in placement
     # order; refine never splits singletons, so the prefix is stable.
-    def search(cells: list[int], order: list[int], partial: int, done_bits: int) -> None:
+    def search(cells: list[int], queue: list[int], order: list[int], partial: int,
+               done_bits: int) -> None:
         nonlocal best
-        cells = refine(cells)
+        if tick is not None:
+            tick()
+        cells = refine(cells, queue)
         idx = len(order)
         appended = 0
         pruned = False
@@ -119,11 +142,12 @@ def certificate_adj(n: int, adj: tuple[int, ...] | list[int]) -> int:
                 head = cells[:idx]
                 tail = cells[idx + 1:]
                 for v in candidates:
-                    search(head + [1 << v, cell ^ (1 << v)] + tail, order, partial, done_bits)
+                    pair = [1 << v, cell ^ 1 << v]
+                    search(head + pair + tail, pair, order, partial, done_bits)
         if appended:
             del order[-appended:]
 
-    search([(1 << n) - 1], [], 0, 0)
+    search([(1 << n) - 1], [(1 << n) - 1], [], 0, 0)
     assert best is not None
     return best
 
@@ -136,13 +160,29 @@ def certificate_bruteforce(g: Graph) -> int:
     """Minimum packing over all n! orderings. Reference oracle, n <= 8.
 
     A second complete invariant, independent of canonical_certificate. The
-    two agree as equivalence relations, not as numbers.
+    two agree as equivalence relations, not as numbers. Column j of a packing
+    depends only on the first j+1 vertices, and earlier columns weigh more, so
+    of the ordering prefixes reaching the smallest packing so far only the
+    extensions by a vertex with the smallest next column can lead to the minimum.
     """
     if g.n > 8:
         raise ValueError("bruteforce certificate limited to n <= 8")
     if g.n <= 1:
         return 0
-    return min(pack_by_order(g.adj, list(p)) for p in permutations(range(g.n)))
+    prefixes = [[v] for v in range(g.n)]
+    cert = 0
+    for j in range(1, g.n):
+        by_row: dict[int, list[list[int]]] = {}
+        for prefix in prefixes:
+            for v in set(range(g.n)).difference(prefix):
+                row = 0
+                for u in prefix:
+                    row = (row << 1) | (g.adj[v] >> u & 1)
+                by_row.setdefault(row, []).append(prefix + [v])
+        row = min(by_row)
+        cert = (cert << j) | row
+        prefixes = by_row[row]
+    return cert
 
 
 def graph_from_certificate(n: int, cert: int) -> Graph:

@@ -125,43 +125,48 @@ class PathCover:
             raise ValueError(f"cover misses required vertex {missing}")
 
 
-def _reach_mask(adj: tuple[int, ...], seeds: int, allowed: int) -> int:
-    """Vertices of `allowed` reachable from `seeds` inside `allowed`."""
-    reach = seeds & allowed
-    frontier = reach
-    while frontier:
+def _reach_mask(adj: tuple[int, ...], seeds: int, allowed: int, stop: int | None = None) -> int:
+    """Vertices of `allowed` reachable from `seeds` inside `allowed`. With stop
+    given, the search may end once it holds stop vertices or more."""
+    reach = frontier = seeds & allowed
+    while frontier and (stop is None or reach.bit_count() < stop):
         grow = 0
-        for v in bits(frontier):
-            grow |= adj[v]
+        while frontier:
+            low = frontier & -frontier
+            grow |= adj[low.bit_length() - 1]
+            frontier ^= low
         frontier = grow & allowed & ~reach
         reach |= frontier
     return reach
 
 
-def _twin_representatives(adj: tuple[int, ...], cand: int) -> Iterator[int]:
-    """The vertices of cand, skipping any that is a twin of one already given.
+def _path_search_component(g: Graph, comp: int, m: int, meter: _Meter) -> list[int] | None:
+    """Exact search for a path on m vertices inside one component, branching
+    once per twin class at each node.
 
     Twins (equal open neighborhoods, or equal closed neighborhoods) are
     swapped by an automorphism fixing everything else, so a search that
     branches on one of them need not branch on the other.
     """
-    tried_open: set[int] = set()
-    tried_closed: set[int] = set()
-    for u in bits(cand):
-        ko = adj[u]
-        kc = ko | 1 << u
-        if ko in tried_open or kc in tried_closed:
-            continue
-        tried_open.add(ko)
-        tried_closed.add(kc)
-        yield u
-
-
-def _path_search_component(g: Graph, comp: int, m: int, meter: _Meter) -> list[int] | None:
-    """Exact search for a path on m vertices inside one component, branching
-    once per twin class at each node."""
     adj = g.adj
     stack: list[int] = []
+
+    def branch(cand: int, visited: int) -> bool:
+        tried_open: list[int] = []
+        tried_closed: list[int] = []
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            u = low.bit_length() - 1
+            ko = adj[u]
+            kc = ko | low
+            if ko in tried_open or kc in tried_closed:
+                continue
+            tried_open.append(ko)
+            tried_closed.append(kc)
+            if dfs(u, visited):
+                return True
+        return False
 
     def dfs(v: int, visited: int) -> bool:
         meter.tick()
@@ -171,30 +176,26 @@ def _path_search_component(g: Graph, comp: int, m: int, meter: _Meter) -> list[i
         visited |= 1 << v
         cand = adj[v] & comp & ~visited
         need = m - len(stack)
-        if need > 2:
-            reach = _reach_mask(adj, cand, comp & ~visited)
-            if reach.bit_count() < need:
-                stack.pop()
-                return False
-        for u in _twin_representatives(adj, cand):
-            if dfs(u, visited):
-                return True
+        if need > 2 and _reach_mask(adj, cand, comp & ~visited, need).bit_count() < need:
+            stack.pop()
+            return False
+        if branch(cand, visited):
+            return True
         stack.pop()
         return False
 
-    for s in _twin_representatives(adj, comp):
-        if dfs(s, 0):
-            return stack
-    return None
+    return stack if branch(comp, 0) else None
 
 
-def _component_classes(g: Graph, min_size: int) -> Iterator[int]:
+def _component_classes(g: Graph, min_size: int, meter: _Meter) -> Iterator[int]:
     """Components with at least min_size vertices, ordered by lowest vertex.
 
     Isomorphic components hold the same paths, so when there is more than
     one, and none exceeds _COMPONENT_DEDUP_MAX vertices, only the first of
     each isomorphism class is yielded. Certificates are computed lazily, as
-    the caller asks for the next component.
+    the caller asks for the next component. Each certificate search ticks
+    the meter, so it stops where the budget left runs out; its nodes are
+    given back once it completes, as the dedup only saves search work.
     """
     comps = [c for c in connected_components(g) if c.bit_count() >= min_size]
     comps.sort(key=lambda c: c & -c)
@@ -204,7 +205,9 @@ def _component_classes(g: Graph, min_size: int) -> Iterator[int]:
     seen: set[tuple[int, int]] = set()
     for comp in comps:
         sub, _ = induced_subgraph(g, comp)
-        key = (sub.n, certificate_adj(sub.n, sub.adj))
+        spent = meter.nodes
+        key = (sub.n, certificate_adj(sub.n, sub.adj, meter.tick))
+        meter.nodes = spent
         if key not in seen:
             seen.add(key)
             yield comp
@@ -234,7 +237,8 @@ def contains_path(g: Graph, m: int, budget: SearchBudget | None = None) -> PathW
         wit = PathWitness((0,))
         wit.validate(g)
         return wit
-    return _search_components(g, _component_classes(g, m), m, _Meter(budget))
+    meter = _Meter(budget)
+    return _search_components(g, _component_classes(g, m, meter), m, meter)
 
 
 def _longest_path_dp(g: Graph, meter: _Meter) -> tuple[list[int], bool]:
@@ -305,8 +309,8 @@ def longest_path(g: Graph, budget: SearchBudget | None = None,
         wit.validate(g)
         return LongestPathResult(len(verts), wit, optimal)
     best = PathWitness((0,))
-    comps = list(_component_classes(g, 2))
     try:
+        comps = list(_component_classes(g, 2, meter))
         for m in range(2, g.n + 1):
             found = _search_components(g, comps, m, meter)
             if found is None:

@@ -1,7 +1,8 @@
 """Canonical certificates cross-checked against the factorial reference."""
 
+import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -13,11 +14,22 @@ from pathforce.canonical import (
     graph_from_certificate,
     pack_by_order,
 )
+from pathforce.constructions import build_G
 from pathforce.graph import build_graph
 
 
 def random_graph(rng, n, p):
     return build_graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+def friendship_graph(k):
+    return build_graph(2 * k + 1, [e for i in range(k) for e in
+                                   ((0, 2 * i + 1), (0, 2 * i + 2), (2 * i + 1, 2 * i + 2))])
+
+
+def disjoint_triangles(k):
+    return build_graph(3 * k, [(3 * i + a, 3 * i + b) for i in range(k)
+                               for a, b in ((0, 1), (0, 2), (1, 2))])
 
 
 def all_labeled_graphs(n):
@@ -57,6 +69,28 @@ class TestCertificate:
             fast = canonical_certificate(g)
             ref = certificate_bruteforce(g)
             assert seen.setdefault((g.n, fast), ref) == ref
+
+    def test_certificate_values_pinned(self):
+        # sha256 of the certificate values, captured before the refinement
+        # queue was narrowed; any change to the search shows here
+        rng = random.Random(420)
+        graphs = [random_graph(rng, rng.randrange(8, 31), rng.choice([0.1, 0.2, 0.35, 0.5, 0.8]))
+                  for _ in range(120)]
+        graphs += [friendship_graph(4), friendship_graph(5), disjoint_triangles(4),
+                   build_G(24, 4, 4)]
+        blob = ",".join(str(canonical_certificate(g)) for g in graphs).encode()
+        assert hashlib.sha256(blob).hexdigest() == \
+            "422c73a23002c16b04daa9f68fc6cd97d1d6c52f493d8a307d28fd50a52dbaa5"
+
+    def test_bruteforce_is_minimum_over_all_orderings(self):
+        rng = random.Random(408)
+        graphs = [g for n in range(2, 5) for g in all_labeled_graphs(n)]
+        graphs += [random_graph(rng, rng.randrange(5, 8), rng.choice([0.2, 0.5, 0.8]))
+                   for _ in range(60)]
+        graphs += [build_graph(7, []), friendship_graph(3)]
+        for g in graphs:
+            want = min(pack_by_order(g.adj, list(p)) for p in permutations(range(g.n)))
+            assert certificate_bruteforce(g) == want
 
     def test_relabeling_invariance(self):
         rng = random.Random(405)

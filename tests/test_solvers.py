@@ -7,7 +7,7 @@ from itertools import combinations, permutations
 import pytest
 
 from pathforce.constructions import build_essential_counterexample, build_H_star
-from pathforce.graph import BipartitionView, PathWitness, build_graph
+from pathforce.graph import BipartitionView, PathWitness, build_graph, is_connected
 from pathforce.oracle import random_bipartite_instance
 from pathforce.solvers import (
     HypothesisViolation,
@@ -31,6 +31,15 @@ def random_graph(rng, n, p):
 
 def cycle_graph(n):
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def friendship_graph(k):
+    return build_graph(2 * k + 1, [e for i in range(k) for e in
+                                   ((0, 2 * i + 1), (0, 2 * i + 2), (2 * i + 1, 2 * i + 2))])
+
+
+def disjoint_union(g, h):
+    return build_graph(g.n + h.n, g.edges() + [(u + g.n, v + g.n) for u, v in h.edges()])
 
 
 def complete_graph(n):
@@ -110,7 +119,44 @@ class TestContainsPath:
         assert info.value.nodes >= 3
 
 
+# Connected random_graph(random.Random(seed), n, p) instances, with their
+# longest_path result under a 20,000-node budget, the optimal length, and the
+# exact node count of the unlimited search. Captured before the search node
+# was rewritten; the search must expand the same tree in the same order.
+LONGEST_PATH_PINS = [
+    (503, 19, 0.15, 19, True, (4, 18, 1, 10, 8, 13, 14, 5, 9, 0, 6, 15, 3, 2, 12, 11, 16, 7, 17),
+     19, 3601),
+    (506, 24, 0.2, 23, False, (0, 12, 13, 1, 6, 17, 2, 15, 16, 21, 3, 7, 14, 18, 19, 10, 5, 11,
+                               20, 9, 8, 22, 23), 24, 30479),
+    (518, 21, 0.2, 16, False, (15, 0, 16, 10, 4, 7, 8, 18, 5, 11, 9, 1, 6, 19, 3, 17), 16, 34245),
+    (519, 23, 0.15, 22, False, (0, 2, 5, 1, 15, 20, 16, 12, 9, 14, 4, 8, 19, 6, 3, 13, 11, 18,
+                                21, 22, 10, 17), 23, 24695),
+    (523, 22, 0.15, 21, False, (0, 10, 18, 14, 9, 2, 12, 20, 8, 4, 7, 19, 17, 11, 21, 13, 16, 1,
+                                15, 5, 6), 21, 34395),
+    (524, 24, 0.12, 23, False, (0, 10, 9, 16, 17, 12, 14, 1, 5, 6, 20, 11, 4, 15, 23, 21, 18, 3,
+                                19, 13, 2, 22, 7), 24, 38436),
+    (529, 24, 0.3, 24, True, (0, 2, 4, 3, 9, 5, 1, 11, 10, 14, 8, 22, 7, 6, 19, 15, 21, 20, 23,
+                              16, 12, 18, 17, 13), 24, 2108),
+    (538, 24, 0.2, 24, True, (0, 2, 8, 6, 3, 15, 22, 18, 16, 10, 19, 12, 20, 13, 7, 5, 4, 1, 11,
+                              14, 9, 23, 17, 21), 24, 8348),
+    (539, 26, 0.15, 26, True, (0, 8, 16, 6, 10, 18, 24, 13, 4, 2, 19, 9, 3, 20, 17, 5, 14, 23,
+                               11, 22, 21, 1, 12, 7, 25, 15), 26, 18825),
+    (543, 25, 0.15, 22, False, (0, 4, 10, 7, 19, 18, 5, 14, 6, 17, 20, 12, 22, 8, 1, 15, 2, 13,
+                                21, 11, 24, 9), 25, 122662),
+]
+
+
 class TestLongestPath:
+    @pytest.mark.parametrize("seed, n, p, length, optimal, witness, best, nodes", LONGEST_PATH_PINS)
+    def test_search_tree_pinned(self, seed, n, p, length, optimal, witness, best, nodes):
+        g = random_graph(random.Random(seed), n, p)
+        assert is_connected(g)
+        res = longest_path(g, SearchBudget(node_limit=20_000))
+        assert (res.length, res.optimal, res.witness.vertices) == (length, optimal, witness)
+        exact = longest_path(g, SearchBudget(node_limit=nodes))
+        assert exact.optimal and exact.length == best
+        assert not longest_path(g, SearchBudget(node_limit=nodes - 1)).optimal
+
     def test_engines_agree_on_random_graphs(self):
         rng = random.Random(410)
         for trial in range(150):
@@ -161,6 +207,19 @@ class TestLongestPath:
         assert res.optimal
         assert res.length == 5
         res.witness.validate(g)
+
+    def test_certificate_work_counts_against_budget(self):
+        # one certificate of F8 alone takes minutes; the budget must stop it
+        f8 = friendship_graph(8)
+        g = disjoint_union(f8, f8)
+        start = time.monotonic()
+        res = longest_path(g, SearchBudget(node_limit=100))
+        assert time.monotonic() - start < 1
+        assert not res.optimal
+        res.witness.validate(g)
+        with pytest.raises(SearchBudgetExceeded):
+            contains_path(g, 6, SearchBudget(node_limit=100))
+        assert time.monotonic() - start < 2
 
     def test_empty_graph(self):
         res = longest_path(build_graph(0, []))
