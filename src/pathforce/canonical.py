@@ -9,9 +9,22 @@ general the minimum over all n! orderings.
 
 The search refines an ordered partition to equitability, individualizes
 inside the first non-singleton cell, and prunes branches whose partial packing
-already exceeds the best completed one. Cells whose members are mutual twins
-(equal rows off the cell, uniformly empty or complete inside it) are
-interchangeable under automorphisms, so only one member is branched on.
+already exceeds the best completed one.
+
+The search also records automorphisms (McKay & Piperno, "Practical graph
+isomorphism, II", J. Symbolic Comput. 60 (2014)). A leaf whose packing ties
+the best one gives the automorphism mapping the best ordering onto the tied
+one. A cell whose members are mutual twins (equal rows off the cell,
+uniformly empty or complete inside it) gives the swaps of its consecutive
+members; they make the cell one orbit, so only its first member is branched
+on. Elsewhere the search branches on one candidate per orbit of the group
+generated by the recorded automorphisms that fix the placed prefix
+pointwise. Such an automorphism fixes every individualized vertex, so it
+maps the node's refined partition onto itself, and the subtree below a
+skipped candidate onto the subtree below a tried one, leaf by leaf, with
+equal packings. Pruned subtrees are images of explored ones, so the minimum,
+and with it every certificate, stays the same. automorphism_generators
+returns what one search recorded.
 
 refine splits every cell by its vertices' neighbour counts in a splitter
 popped from a queue; the root queues the whole vertex set. A child that
@@ -48,17 +61,14 @@ def pack_by_order(adj: tuple[int, ...] | list[int], order: list[int]) -> int:
     return cert
 
 
-def certificate_adj(n: int, adj: tuple[int, ...] | list[int],
-                    tick: Callable[[], None] | None = None) -> int:
-    """Canonical certificate for an adjacency-row tuple (internal fast path).
-
-    tick, if given, is called once per search node, so a caller's budget can
-    stop the search by raising from it.
-    """
+def _canonical_search(n: int, adj: tuple[int, ...] | list[int],
+                      tick: Callable[[], None] | None
+                      ) -> tuple[int, list[tuple[int, ...]]]:
+    """The best packing and the automorphism generators the search recorded."""
     if n > CANONICAL_MAX:
         raise ValueError(f"canonical form limited to n <= {CANONICAL_MAX}")
     if n <= 1:
-        return 0
+        return 0, []
     nbits = n * (n - 1) // 2
 
     def refine(cells: list[int], queue: list[int]) -> list[int]:
@@ -103,13 +113,33 @@ def certificate_adj(n: int, adj: tuple[int, ...] | list[int],
                 return False
         return True
 
+    # generators as (image tuple, mask of moved vertices)
+    gens: list[tuple[tuple[int, ...], int]] = []
+    swapped: set[int] = set()
+
+    def closure(mask: int, live: list[tuple[tuple[int, ...], int]]) -> int:
+        """Union of the orbits of mask's vertices under the group of live."""
+        out = frontier = mask
+        while frontier:
+            grow = 0
+            for perm, moved in live:
+                rest = frontier & moved
+                while rest:
+                    low = rest & -rest
+                    grow |= 1 << perm[low.bit_length() - 1]
+                    rest ^= low
+            frontier = grow & ~out
+            out |= frontier
+        return out
+
     best: int | None = None
+    best_order: list[int] = []
 
     # Invariant: cells[0:len(order)] are the placed singletons in placement
     # order; refine never splits singletons, so the prefix is stable.
     def search(cells: list[int], queue: list[int], order: list[int], partial: int,
                done_bits: int) -> None:
-        nonlocal best
+        nonlocal best, best_order
         if tick is not None:
             tick()
         cells = refine(cells, queue)
@@ -133,23 +163,69 @@ def certificate_adj(n: int, adj: tuple[int, ...] | list[int],
         if not pruned:
             if idx == len(cells):
                 if best is None or partial < best:
-                    best = partial
+                    best, best_order = partial, order[:]
+                elif partial == best:
+                    image = list(range(n))
+                    moved = 0
+                    for u, w in zip(best_order, order):
+                        if u != w:
+                            image[u] = w
+                            moved |= 1 << u
+                    gens.append((tuple(image), moved))
             else:
                 cell = cells[idx]
-                candidates = list(bits(cell))
-                if is_twin_cell(cell):
-                    candidates = candidates[:1]
                 head = cells[:idx]
                 tail = cells[idx + 1:]
-                for v in candidates:
+                twin = is_twin_cell(cell)
+                if twin:
+                    low = cell & -cell
+                    rest = cell ^ low
+                    while rest:  # swap consecutive members
+                        high = rest & -rest
+                        rest ^= high
+                        if low | high not in swapped:
+                            swapped.add(low | high)
+                            a, b = low.bit_length() - 1, high.bit_length() - 1
+                            image = list(range(n))
+                            image[a], image[b] = b, a
+                            gens.append((tuple(image), low | high))
+                        low = high
+                placed = sum(head)
+                tried = 0
+                for v in bits(cell):
+                    if tried:
+                        if twin:
+                            break  # the swaps make the cell one orbit
+                        if gens and closure(
+                                tried, [g for g in gens if not g[1] & placed]) >> v & 1:
+                            continue
                     pair = [1 << v, cell ^ 1 << v]
                     search(head + pair + tail, pair, order, partial, done_bits)
+                    tried |= 1 << v
         if appended:
             del order[-appended:]
 
     search([(1 << n) - 1], [(1 << n) - 1], [], 0, 0)
     assert best is not None
-    return best
+    return best, [perm for perm, _ in gens]
+
+
+def certificate_adj(n: int, adj: tuple[int, ...] | list[int],
+                    tick: Callable[[], None] | None = None) -> int:
+    """Canonical certificate for an adjacency-row tuple (internal fast path).
+
+    tick, if given, is called once per search node, so a caller's budget can
+    stop the search by raising from it.
+    """
+    return _canonical_search(n, adj, tick)[0]
+
+
+def automorphism_generators(n: int, adj: tuple[int, ...] | list[int]) -> list[tuple[int, ...]]:
+    """Automorphisms recorded by the certificate search, each as the tuple of
+    vertex images. They generate a subgroup of Aut(G) (all of it on every
+    graph with n <= 5, as a test checks); the list is empty when the search
+    met no symmetry."""
+    return _canonical_search(n, adj, None)[1]
 
 
 def canonical_certificate(g: Graph) -> int:

@@ -27,7 +27,12 @@ from dataclasses import dataclass
 from functools import partial
 from multiprocessing import Pool
 
-from .canonical import are_isomorphic, certificate_adj, graph_from_certificate
+from .canonical import (
+    are_isomorphic,
+    automorphism_generators,
+    certificate_adj,
+    graph_from_certificate,
+)
 from .constructions import (
     build_G,
     build_H,
@@ -114,18 +119,42 @@ def _top_vertices(rows: tuple[int, ...] | list[int]) -> list[int]:
     return [v for v, s in inv.items() if s == top]
 
 
+def _add_orbit(nb: int, gens: list[tuple[int, ...]], seen: set[int]) -> None:
+    """Add the orbit of vertex set nb under the group generated by gens."""
+    seen.add(nb)
+    stack = [nb]
+    while stack:
+        s = stack.pop()
+        for perm in gens:
+            t = 0
+            rest = s
+            while rest:
+                low = rest & -rest
+                t |= 1 << perm[low.bit_length() - 1]
+                rest ^= low
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+
+
 def _child_certs(args: tuple[int, int]) -> set[int]:
     """Certificates of the classes whose canonical deletion gives this parent."""
     n_prev, cert = args
     adj = graph_from_certificate(n_prev, cert).adj
+    gens = automorphism_generators(n_prev, adj)
     n, new_bit = n_prev + 1, 1 << n_prev
     deg = [a.bit_count() for a in adj]
     top = max(deg)
     top_mask = mask_of(v for v in range(n_prev) if deg[v] == top)
     out: set[int] = set()
+    seen: set[int] = set()
     for nb in range(1 << n_prev):
         if nb.bit_count() < top + bool(nb & top_mask):
             continue  # the new vertex's degree is not the maximum
+        if gens:
+            if nb in seen:
+                continue  # an automorphic image of a neighbourhood already tried
+            _add_orbit(nb, gens, seen)
         rows = [a | new_bit if nb >> v & 1 else a for v, a in enumerate(adj)] + [nb]
         ties = _top_vertices(rows)
         if ties[-1] != n_prev:
@@ -154,6 +183,12 @@ def level_certs(n: int, jobs: int = 1) -> tuple[int, ...]:
     check. So a class comes only from the parent C - m(C), and is not lost:
     that parent grown by m(C)'s neighbourhood passes the rule. The parents'
     child sets are disjoint and together cover the level.
+
+    Each parent tries one neighbourhood per orbit of Aut(P) on vertex sets,
+    using the generators its certificate search records: an automorphism g
+    of P extends to an isomorphism between the children grown by S and by
+    g(S) that fixes the new vertex, so both children are one class with one
+    accept decision. Any subgroup of Aut(P) keeps the level exactly as is.
     """
     if not 1 <= n <= ENUMERATION_MAX:
         raise ValueError(f"enumeration limited to 1 <= n <= {ENUMERATION_MAX}")
@@ -174,7 +209,8 @@ def enumerate_graphs(n: int, jobs: int = 1):
 def _class_stats_cell(args: tuple[int, int]) -> tuple[int, tuple[int, ...]]:
     n, cert = args
     g = graph_from_certificate(n, cert)
-    length = longest_path(g).length
+    # most classes are traceable, and one search settles those
+    length = n if contains_path(g, n) is not None else longest_path(g).length
     return length, g.degree_sequence()
 
 

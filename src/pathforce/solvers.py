@@ -60,9 +60,10 @@ class SearchBudget:
     time_limit: float | None = None
 
     def __post_init__(self) -> None:
-        if self.node_limit is not None and self.node_limit <= 0:
+        # "not x > 0" rejects NaN, which every comparison with x would ignore
+        if self.node_limit is not None and not self.node_limit > 0:
             raise ValueError("node_limit must be positive")
-        if self.time_limit is not None and self.time_limit <= 0:
+        if self.time_limit is not None and not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 from itertools import combinations, permutations
 
 import pytest
@@ -9,13 +10,16 @@ import pytest
 from pathforce.canonical import (
     CANONICAL_MAX,
     are_isomorphic,
+    automorphism_generators,
     canonical_certificate,
+    certificate_adj,
     certificate_bruteforce,
     graph_from_certificate,
     pack_by_order,
 )
 from pathforce.constructions import build_G
 from pathforce.graph import build_graph
+from pathforce.oracle import level_certs
 
 
 def random_graph(rng, n, p):
@@ -118,6 +122,85 @@ class TestCertificate:
             canonical_certificate(build_graph(CANONICAL_MAX + 1, []))
         with pytest.raises(ValueError, match="n <= 8"):
             certificate_bruteforce(build_graph(9, []))
+
+
+def relabeled(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return build_graph(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+
+
+def is_automorphism(g, perm):
+    return sorted(perm) == list(range(g.n)) and all(
+        g.adj[perm[v]] == sum(1 << perm[u] for u in range(g.n) if g.adj[v] >> u & 1)
+        for v in range(g.n))
+
+
+def group_order(n, gens):
+    seen = {tuple(range(n))}
+    stack = list(seen)
+    while stack:
+        p = stack.pop()
+        for g in gens:
+            q = tuple(g[x] for x in p)
+            if q not in seen:
+                seen.add(q)
+                stack.append(q)
+    return len(seen)
+
+
+class TestAutomorphisms:
+    def test_generators_preserve_adjacency(self):
+        rng = random.Random(409)
+        graphs = [relabeled(rng, graph_from_certificate(n, c))
+                  for n in range(1, 8) for c in level_certs(n)]
+        graphs += [random_graph(rng, rng.randrange(2, 16), rng.choice([0.1, 0.3, 0.5, 0.8]))
+                   for _ in range(400)]
+        graphs += [friendship_graph(k) for k in range(3, 7)]
+        graphs += [disjoint_triangles(k) for k in range(2, 6)]
+        for g in graphs:
+            gens = automorphism_generators(g.n, g.adj)
+            assert all(is_automorphism(g, perm) for perm in gens)
+
+    def test_generators_give_the_whole_group_to_five(self):
+        for n in range(1, 6):
+            for c in level_certs(n):
+                g = graph_from_certificate(n, c)
+                aut = sum(is_automorphism(g, p) for p in permutations(range(n)))
+                assert group_order(n, automorphism_generators(n, g.adj)) == aut
+
+    def test_symmetric_graphs(self):
+        # friendship graphs and disjoint triangles: orders 2^k k! and 6^k k!
+        assert group_order(7, automorphism_generators(7, friendship_graph(3).adj)) == 48
+        assert group_order(9, automorphism_generators(9, disjoint_triangles(3).adj)) == 1296
+        # the spider with legs 1, 2, 3 is the smallest asymmetric tree
+        spider = build_graph(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
+        assert automorphism_generators(7, spider.adj) == []
+
+    def test_search_nodes_pinned(self):
+        # nodes of one certificate search; without orbit pruning F8 needs
+        # 11,857,009. An orbit rule that also used generators moving the
+        # placed prefix would prune more, and unsoundly.
+        petersen = build_graph(10, [(i, (i + 1) % 5) for i in range(5)] +
+                               [(5 + i, 5 + (i + 2) % 5) for i in range(5)] +
+                               [(i, i + 5) for i in range(5)])
+        cube = build_graph(16, [(u, u ^ 1 << i) for u in range(16) for i in range(4)
+                                if u < u ^ 1 << i])
+        circulant = build_graph(13, [(i, (i + s) % 13) for i in range(13) for s in (1, 5)])
+        graphs = [friendship_graph(8), disjoint_triangles(5), petersen, cube, circulant]
+        counts = []
+        for g in graphs:
+            nodes = []
+            certificate_adj(g.n, g.adj, lambda: nodes.append(0))
+            counts.append(len(nodes))
+        assert counts == [156, 99, 22, 25, 9]
+
+    def test_friendship_twelve_is_fast(self):
+        g = friendship_graph(12)
+        start = time.monotonic()
+        cert = canonical_certificate(g)
+        assert time.monotonic() - start < 1
+        assert cert == canonical_certificate(relabeled(random.Random(410), g))
 
 
 class TestAreIsomorphic:

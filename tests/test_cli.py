@@ -214,6 +214,13 @@ class TestSolveCommand:
         assert code == 3
         assert "INCONCLUSIVE" in out
 
+    def test_nan_time_limit_exits_two(self, capsys, monkeypatch):
+        self.feed(monkeypatch, "EhEG")
+        code, out, err = run_cli(capsys, ["solve", "longest-path", "--time-limit", "nan"])
+        assert code == 2
+        assert out == ""
+        assert "time_limit must be positive" in err
+
     def test_node_limit_env_var(self, capsys, monkeypatch):
         import random
         from itertools import combinations

@@ -26,7 +26,7 @@ from pathforce.oracle import (
     random_bipartite_instance,
     run_suite,
 )
-from pathforce.solvers import LemmaViolationError
+from pathforce.solvers import LemmaViolationError, longest_path
 
 KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346, 9: 274668}
 
@@ -43,6 +43,31 @@ LEVEL_DIGESTS = {
     7: "f662069ede6b06b62688400f8f814de8a2f30cdcc34c048c980f7df1f1e3af8d",
     8: "2104a43585f8c53ac586220d848d63964bca1b83d655192480354d3280652c1d",
 }
+
+
+def unpruned_child_certs(n_prev, cert):
+    """Every neighbourhood grown, kept by the rule of level_certs."""
+    def maxima(rows):
+        deg = [r.bit_count() for r in rows]
+        inv = [(deg[v], sorted(deg[u] for u in range(len(rows)) if r >> u & 1))
+               for v, r in enumerate(rows)]
+        return [v for v in range(len(rows)) if inv[v] == max(inv)]
+
+    adj = graph_from_certificate(n_prev, cert).adj
+    out = set()
+    for nb in range(1 << n_prev):
+        rows = [a | (nb >> v & 1) << n_prev for v, a in enumerate(adj)] + [nb]
+        top = maxima(rows)
+        if n_prev not in top:
+            continue
+        c = certificate_adj(n_prev + 1, rows)
+        canon = graph_from_certificate(n_prev + 1, c)
+        m = maxima(canon.adj)[0]
+        keep = [v for v in range(n_prev + 1) if v != m]
+        rest = [sum((canon.adj[v] >> u & 1) << i for i, u in enumerate(keep)) for v in keep]
+        if certificate_adj(n_prev, rest) == cert:
+            out.add(c)
+    return out
 
 
 def all_labeled_graphs(n):
@@ -76,6 +101,11 @@ class TestEnumeration:
             union = set().union(*parts)
             assert sum(map(len, parts)) == len(union)
             assert tuple(sorted(union)) == level_certs(n)
+
+    def test_orbit_pruning_keeps_every_child(self):
+        for n in range(2, 8):
+            for p in level_certs(n - 1):
+                assert oracle._child_certs((n - 1, p)) == unpruned_child_certs(n - 1, p)
 
     def test_parallel_matches_serial(self, monkeypatch):
         serial = level_certs(7)
@@ -111,6 +141,15 @@ class TestEnumeration:
     @pytest.mark.slow
     def test_class_count_at_limit(self):
         assert len(level_certs(ENUMERATION_MAX)) == KNOWN_CLASS_COUNTS[ENUMERATION_MAX]
+
+
+class TestClassStats:
+    def test_lengths_match_longest_path(self):
+        for n in range(2, 8):
+            stats = oracle._graph_stats(n)
+            for (length, degs), g in zip(stats, enumerate_graphs(n)):
+                assert length == longest_path(g).length
+                assert degs == g.degree_sequence()
 
 
 class TestPhiBruteforce:

@@ -209,7 +209,8 @@ class TestLongestPath:
         res.witness.validate(g)
 
     def test_certificate_work_counts_against_budget(self):
-        # one certificate of F8 alone takes minutes; the budget must stop it
+        # the budget stops F8's certificate search (156 nodes), and would stop
+        # the path search of the one copy left (over 100 nodes) as well
         f8 = friendship_graph(8)
         g = disjoint_union(f8, f8)
         start = time.monotonic()
@@ -220,6 +221,16 @@ class TestLongestPath:
         with pytest.raises(SearchBudgetExceeded):
             contains_path(g, 6, SearchBudget(node_limit=100))
         assert time.monotonic() - start < 2
+
+    def test_disjoint_friendship_pair_unbudgeted(self):
+        # without automorphism pruning each F8 certificate runs for minutes
+        f8 = friendship_graph(8)
+        g = disjoint_union(f8, f8)
+        start = time.monotonic()
+        res = longest_path(g)
+        assert time.monotonic() - start < 5
+        assert res.optimal and res.length == 5
+        res.witness.validate(g)
 
     def test_empty_graph(self):
         res = longest_path(build_graph(0, []))
@@ -419,6 +430,13 @@ class TestSearchBudget:
             SearchBudget(node_limit=0)
         with pytest.raises(ValueError, match="time_limit"):
             SearchBudget(time_limit=0.0)
+
+    def test_nan_limits_rejected(self):
+        # a NaN limit compares false against every count and clock reading
+        with pytest.raises(ValueError, match="node_limit"):
+            SearchBudget(node_limit=float("nan"))
+        with pytest.raises(ValueError, match="time_limit"):
+            SearchBudget(time_limit=float("nan"))
 
     def test_exception_carries_node_count(self):
         g = complete_graph(12)
