@@ -11,6 +11,7 @@ search budget. The default node limit can be set with PATHFORCE_NODE_LIMIT.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -46,7 +47,11 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused by every main
+    call: parse_args keeps no state between calls, and help, usage and
+    errors go to the sys.stdout and sys.stderr current at call time."""
     parser = argparse.ArgumentParser(
         prog="pathforce",
         description="Exact toolkit for the degree threshold forcing long paths.")

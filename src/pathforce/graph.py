@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 
 MAX_VERTICES = 512
 
@@ -30,6 +30,13 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def _raise_asymmetric(adj: tuple[int, ...]) -> NoReturn:
+    """Name the first unmirrored bit, scanning rows and then bits in order."""
+    u, v = next((u, v) for v, row in enumerate(adj) for u in bits(row)
+                if not adj[u] >> v & 1)
+    raise ValueError(f"asymmetric adjacency between {u} and {v}")
+
+
 @dataclass(frozen=True)
 class Graph:
     n: int
@@ -40,16 +47,28 @@ class Graph:
             raise ValueError(f"vertex count {self.n} outside [0, {MAX_VERTICES}]")
         if len(self.adj) != self.n:
             raise ValueError("adjacency row count does not match vertex count")
+        adj = self.adj
         full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
+        total = 0
+        for v, row in enumerate(adj):
             if row & ~full:
                 raise ValueError(f"adjacency row {v} references vertices >= {self.n}")
             if row >> v & 1:
                 raise ValueError(f"loop at vertex {v}")
-        for v in range(self.n):
-            for u in bits(self.adj[v]):
-                if not self.adj[u] >> v & 1:
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
+            total += row.bit_count()
+        # Each bit above the diagonal must have its mirror below it. Then as
+        # many bits below the diagonal as above leaves none without a mirror.
+        upper = 0
+        for v, row in enumerate(adj):
+            above = row >> v >> 1
+            upper += above.bit_count()
+            while above:
+                low = above & -above
+                above ^= low
+                if not adj[v + low.bit_length()] >> v & 1:
+                    _raise_asymmetric(adj)
+        if total != 2 * upper:
+            _raise_asymmetric(adj)
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()

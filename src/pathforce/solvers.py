@@ -333,15 +333,20 @@ def _block_longest_cycle(sub: Graph, meter: _Meter, floor: int) -> tuple[int, li
     def dfs(v: int, visited: int, allowed: int, s: int) -> None:
         nonlocal best_len, best
         meter.tick()
-        if len(stack) + (allowed & ~visited).bit_count() <= best_len:
+        free = allowed & ~visited
+        if len(stack) + free.bit_count() <= best_len:
             return
-        for u in bits(adj[v] & allowed & ~visited):
+        rest = adj[v] & free
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
             stack.append(u)
-            if len(stack) >= 3 and adj[u] >> s & 1 and stack[1] < stack[-1] \
+            if len(stack) >= 3 and adj[u] >> s & 1 and stack[1] < u \
                     and len(stack) > best_len:
                 best_len = len(stack)
                 best = stack.copy()
-            dfs(u, visited | 1 << u, allowed, s)
+            dfs(u, visited | low, allowed, s)
             stack.pop()
 
     full = (1 << n) - 1

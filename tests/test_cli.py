@@ -14,7 +14,7 @@ import pytest
 
 import pathforce.__main__
 import pathforce.oracle
-from pathforce.cli import main
+from pathforce.cli import _build_parser, main
 from pathforce.graph import build_graph, decode_graph6, encode_graph6
 
 
@@ -317,3 +317,34 @@ class TestConsoleScript:
                               env={**os.environ, "PYTHONPATH": pythonpath})
         assert proc.returncode == 0
         assert "REFUTES conjectured bound" in proc.stdout
+
+
+def run_fresh_process(argv, env=None):
+    package_root = str(Path(pathforce.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "pathforce"] + argv, capture_output=True,
+                          text=True, env={**os.environ, **(env or {}), "PYTHONPATH": pythonpath})
+
+
+class TestParserReuse:
+    def test_repeated_main_calls_match_fresh_processes(self, capsys, monkeypatch):
+        # The usage text wraps at the terminal width, so fix it for both sides.
+        monkeypatch.setenv("COLUMNS", "80")
+        _build_parser.cache_clear()
+        sequence = [
+            (["solve", "longest-path", "--engine", "dp"], 2),
+            (["phi", "40", "4", "4", "--conjecture"], 0),
+            (["oracle", "jackson", "--trials", "0"], 2),
+            (["phi", "40", "4", "4", "--conjecture"], 0),
+        ]
+        for argv, expected_code in sequence:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            fresh = run_fresh_process(argv, {"COLUMNS": "80"})
+            assert (code, captured.out, captured.err) == \
+                (fresh.returncode, fresh.stdout, fresh.stderr), argv
+            assert code == expected_code, argv
+        assert _build_parser.cache_info().misses == 1

@@ -63,6 +63,39 @@ class TestGraph:
         with pytest.raises(ValueError, match="asymmetric"):
             Graph(2, (0b10, 0b00))
 
+    def test_validation_messages_match_full_scan(self):
+        def reference(n, rows):
+            # the plain scan: every bit of every row against its mirror
+            full = (1 << n) - 1
+            for v, row in enumerate(rows):
+                if row & ~full:
+                    return f"adjacency row {v} references vertices >= {n}"
+                if row >> v & 1:
+                    return f"loop at vertex {v}"
+            for v in range(n):
+                for u in bits(rows[v]):
+                    if not rows[u] >> v & 1:
+                        return f"asymmetric adjacency between {u} and {v}"
+            return None
+
+        rng = random.Random(31)
+        kinds = {"ok": 0, "asymmetric": 0, "loop": 0, "references": 0}
+        for trial in range(3000):
+            n = rng.randrange(1, 12)
+            rows = list(random_graph(rng, n, rng.random()).adj)
+            for _ in range(rng.choice([0, 1, 1, 2, 3])):
+                v = rng.randrange(n)
+                rows[v] ^= 1 << rng.randrange(n + (trial % 7 == 0))
+            expected = reference(n, rows)
+            try:
+                Graph(n, tuple(rows))
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == expected, (n, rows)
+            kinds["ok" if got is None else next(k for k in kinds if k in got)] += 1
+        assert min(kinds.values()) >= 50, kinds
+
     def test_duplicate_edges_collapse(self):
         g = build_graph(3, [(0, 1), (1, 0), (0, 1)])
         assert g.edge_count() == 1

@@ -258,6 +258,32 @@ class TestLongestCycle:
                 wit.validate(g)
 
 
+# (seed, n, p, length, witness, nodes): longest_cycle of a seeded G(n, p)
+# completes within `nodes` search nodes and not within nodes - 1. A rewrite of
+# the cycle search must keep its visit order, so these stay fixed.
+LONGEST_CYCLE_PINS = [
+    (627, 8, 0.35, 7, (0, 3, 2, 4, 6, 1, 5), 18),
+    (661, 9, 0.5, 8, (0, 3, 8, 6, 7, 1, 5, 4), 23),
+    (603, 10, 0.7, 10, (0, 1, 2, 3, 5, 6, 4, 7, 8, 9), 31),
+    (630, 11, 0.35, 7, (0, 2, 1, 10, 5, 8, 7), 84),
+    (642, 12, 0.35, 11, (0, 2, 3, 5, 8, 1, 10, 9, 11, 4, 7), 107),
+    (654, 13, 0.35, 13, (0, 3, 12, 8, 7, 1, 2, 4, 10, 6, 5, 9, 11), 5340),
+    (655, 14, 0.5, 13, (0, 2, 4, 3, 5, 7, 6, 9, 11, 8, 12, 10, 13), 46),
+    (657, 16, 0.35, 16, (0, 3, 1, 12, 4, 5, 6, 2, 8, 15, 10, 7, 9, 11, 13, 14), 7026),
+    (611, 17, 0.7, 17, (0, 1, 2, 3, 6, 4, 5, 7, 8, 9, 10, 13, 11, 12, 16, 15, 14), 99),
+    (681, 18, 0.35, 17, (0, 2, 5, 4, 8, 17, 7, 6, 11, 16, 9, 1, 13, 15, 10, 12, 14), 4601),
+]
+
+
+@pytest.mark.parametrize("seed, n, p, length, witness, nodes", LONGEST_CYCLE_PINS)
+def test_cycle_search_tree_pinned(seed, n, p, length, witness, nodes):
+    g = random_graph(random.Random(seed), n, p)
+    found, wit = longest_cycle(g, SearchBudget(node_limit=nodes))
+    assert (found, wit.vertices) == (length, witness)
+    with pytest.raises(SearchBudgetExceeded):
+        longest_cycle(g, SearchBudget(node_limit=nodes - 1))
+
+
 class TestCycleThroughX:
     def test_square(self):
         g = cycle_graph(4)
