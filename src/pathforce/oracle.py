@@ -73,7 +73,6 @@ from .solvers import (
     contains_path,
     find_cycle_through_X,
     longest_cycle,
-    longest_path,
     merge_high_end_paths,
     path_cover_of_X,
 )
@@ -209,8 +208,11 @@ def enumerate_graphs(n: int, jobs: int = 1):
 def _class_stats_cell(args: tuple[int, int]) -> tuple[int, tuple[int, ...]]:
     n, cert = args
     g = graph_from_certificate(n, cert)
-    # most classes are traceable, and one search settles those
-    length = n if contains_path(g, n) is not None else longest_path(g).length
+    # search downward from n: most classes are traceable, and a path on L
+    # vertices holds paths of every shorter length, so the first hit is L
+    length = n
+    while contains_path(g, length) is None:
+        length -= 1
     return length, g.degree_sequence()
 
 

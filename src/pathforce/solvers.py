@@ -7,6 +7,19 @@ three outcomes (witness, refuted, inconclusive) can never be confused.
 Searches are deterministic. Vertices are tried in ascending index unless a
 documented heuristic order applies, and the first witness found is returned.
 Witnesses are re-validated against the host graph before being returned.
+
+The path search keeps a transposition table per component and target. The
+subtree below a path prefix depends only on the prefix's vertex set S and
+its end u: the children are the neighbors of u off S in ascending order, the
+twin test reads adjacency rows alone, and the reach prune runs inside the
+component minus S. So when the subtree of a state (S, u) fails, the state is
+stored with the number of nodes that subtree used, and a later prefix
+reaching the same state adds that count to the meter instead of searching
+the subtree again. Budgets count replayed nodes exactly as if they were
+searched again, so every node count, budget outcome and witness is that of
+the plain search. Only failed subtrees are stored, and a success ends the
+search, so a replay never hides a witness. The table stops growing at
+_TRANSPOSITION_MAX entries, which bounds its memory on unbudgeted searches.
 """
 
 from __future__ import annotations
@@ -33,6 +46,7 @@ from .graph import (
 
 SUBSET_DP_CAP = 24
 _COMPONENT_DEDUP_MAX = 32
+_TRANSPOSITION_MAX = 1 << 16
 
 
 class SearchBudgetExceeded(Exception):
@@ -89,6 +103,20 @@ class _Meter:
             if time.monotonic() > self.deadline:
                 raise SearchBudgetExceeded(
                     f"time limit exhausted after {self.nodes} nodes", self.nodes)
+
+    def skip(self, count: int) -> None:
+        """Add count nodes, as count calls to tick() would: past node_limit
+        it raises at node_limit + 1, and crossing a multiple of 1024 checks
+        the clock."""
+        nodes = self.nodes + count
+        if self.node_limit is not None and nodes > self.node_limit:
+            self.nodes = self.node_limit
+            self.tick()
+        crossed = nodes >> 10 != self.nodes >> 10
+        self.nodes = nodes
+        if crossed and self.deadline is not None and time.monotonic() > self.deadline:
+            raise SearchBudgetExceeded(
+                f"time limit exhausted after {nodes} nodes", nodes)
 
 
 @dataclass(frozen=True)
@@ -148,13 +176,23 @@ def _path_search_component(g: Graph, comp: int, m: int, meter: _Meter) -> list[i
     Twins (equal open neighborhoods, or equal closed neighborhoods) are
     swapped by an automorphism fixing everything else, so a search that
     branches on one of them need not branch on the other.
+
+    Each child is ticked and tested in its parent's loop (completion, dead
+    end, transposition table, reach prune); only a child that survives every
+    test is descended into. Table keys pack (S, u) as the free part of the
+    component, shifted, with u in the low bits.
     """
     adj = g.adj
     stack: list[int] = []
+    failed: dict[int, int] = {}
+    shift = g.n.bit_length()
+    tick = meter.tick
 
-    def branch(cand: int, visited: int) -> bool:
+    def extend(cand: int, free: int) -> bool:
+        """Try each child in cand; free is the component off the path."""
         tried_open: list[int] = []
         tried_closed: list[int] = []
+        need = m - 1 - len(stack)  # vertices still wanted below each child
         while cand:
             low = cand & -cand
             cand ^= low
@@ -165,27 +203,32 @@ def _path_search_component(g: Graph, comp: int, m: int, meter: _Meter) -> list[i
                 continue
             tried_open.append(ko)
             tried_closed.append(kc)
-            if dfs(u, visited):
+            tick()
+            stack.append(u)
+            if not need:
                 return True
-        return False
-
-    def dfs(v: int, visited: int) -> bool:
-        meter.tick()
-        stack.append(v)
-        if len(stack) == m:
-            return True
-        visited |= 1 << v
-        cand = adj[v] & comp & ~visited
-        need = m - len(stack)
-        if need > 2 and _reach_mask(adj, cand, comp & ~visited, need).bit_count() < need:
+            rest = free ^ low
+            cu = ko & rest
+            # at need <= 2 no reach prune runs and a subtree has few nodes,
+            # so a table entry would cost more than it saves
+            if cu and need <= 2:
+                if extend(cu, rest):
+                    return True
+            elif cu:
+                key = rest << shift | u
+                replay = failed.get(key)
+                if replay is not None:
+                    meter.skip(replay)
+                elif _reach_mask(adj, cu, rest, need).bit_count() >= need:
+                    start = meter.nodes
+                    if extend(cu, rest):
+                        return True
+                    if len(failed) < _TRANSPOSITION_MAX:
+                        failed[key] = meter.nodes - start
             stack.pop()
-            return False
-        if branch(cand, visited):
-            return True
-        stack.pop()
         return False
 
-    return stack if branch(comp, 0) else None
+    return stack if extend(comp, comp) else None
 
 
 def _component_classes(g: Graph, min_size: int, meter: _Meter) -> Iterator[int]:

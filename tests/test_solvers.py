@@ -6,7 +6,8 @@ from itertools import combinations, permutations
 
 import pytest
 
-from pathforce.constructions import build_essential_counterexample, build_H_star
+from pathforce import solvers
+from pathforce.constructions import build_essential_counterexample, build_G, build_H_star
 from pathforce.graph import BipartitionView, PathWitness, build_graph, is_connected
 from pathforce.oracle import random_bipartite_instance
 from pathforce.solvers import (
@@ -23,6 +24,7 @@ from pathforce.solvers import (
     merge_high_end_paths,
     path_cover_of_X,
 )
+from pathforce.solvers import _Meter, _reach_mask
 
 
 def random_graph(rng, n, p):
@@ -146,6 +148,40 @@ LONGEST_PATH_PINS = [
 ]
 
 
+# (graph, m, witness, nodes): contains_path(graph, m) returns the witness, or
+# None after a refutation, within `nodes` search nodes, and raises
+# SearchBudgetExceeded within nodes - 1. A graph is ("G", n, d, k) for
+# build_G(n, d, k), or (seed, n, p) for random_graph(random.Random(seed), n, p).
+# Captured before the transposition table; the search tree must not change.
+CONTAINS_PATH_PINS = [
+    (("G", 24, 4, 4), 5, None, 31),
+    ((704, 21, 0.2), 19, (1, 12, 0, 11, 19, 8, 10, 3, 16, 9, 4, 13, 15, 6, 5, 17, 2, 18, 20),
+     7891),
+    ((704, 21, 0.2), 20, None, 33549),
+    ((722, 21, 0.15), 21, None, 39617),
+    ((732, 22, 0.12), 20, None, 12241),
+    ((735, 18, 0.15), 16, None, 12819),
+    ((739, 15, 0.2), 14, (11, 9, 8, 2, 5, 0, 4, 13, 6, 10, 3, 12, 1, 14), 1603),
+    ((742, 18, 0.2), 18, None, 14275),
+    ((756, 19, 0.2), 16, (2, 6, 5, 0, 13, 11, 7, 1, 8, 15, 9, 4, 14, 17, 12, 10), 21029),
+    ((757, 18, 0.15), 17, None, 2570),
+]
+
+
+@pytest.mark.parametrize("graph, m, witness, nodes", CONTAINS_PATH_PINS)
+def test_contains_path_search_tree_pinned(graph, m, witness, nodes):
+    if graph[0] == "G":
+        g = build_G(*graph[1:])
+    else:
+        seed, n, p = graph
+        g = random_graph(random.Random(seed), n, p)
+    found = contains_path(g, m, SearchBudget(node_limit=nodes))
+    assert (found.vertices if found else None) == witness
+    with pytest.raises(SearchBudgetExceeded) as info:
+        contains_path(g, m, SearchBudget(node_limit=nodes - 1))
+    assert info.value.nodes == nodes
+
+
 class TestLongestPath:
     @pytest.mark.parametrize("seed, n, p, length, optimal, witness, best, nodes", LONGEST_PATH_PINS)
     def test_search_tree_pinned(self, seed, n, p, length, optimal, witness, best, nodes):
@@ -235,6 +271,170 @@ class TestLongestPath:
     def test_empty_graph(self):
         res = longest_path(build_graph(0, []))
         assert res.length == 0 and res.witness is None and res.optimal
+
+
+def reference_path_search(g, comp, m, meter):
+    """The component search as it was before the transposition table: one
+    call frame per node, and no state remembered between subtrees."""
+    adj = g.adj
+    stack = []
+
+    def branch(cand, visited):
+        tried_open = []
+        tried_closed = []
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            u = low.bit_length() - 1
+            ko = adj[u]
+            kc = ko | low
+            if ko in tried_open or kc in tried_closed:
+                continue
+            tried_open.append(ko)
+            tried_closed.append(kc)
+            if dfs(u, visited):
+                return True
+        return False
+
+    def dfs(v, visited):
+        meter.tick()
+        stack.append(v)
+        if len(stack) == m:
+            return True
+        visited |= 1 << v
+        cand = adj[v] & comp & ~visited
+        need = m - len(stack)
+        if need > 2 and _reach_mask(adj, cand, comp & ~visited, need).bit_count() < need:
+            stack.pop()
+            return False
+        if branch(cand, visited):
+            return True
+        stack.pop()
+        return False
+
+    return stack if branch(comp, 0) else None
+
+
+class CountingMeter(_Meter):
+    """A meter that remembers the most nodes it ever held. Certificate nodes
+    are given back after each certificate, so the peak, not the final count,
+    is the smallest node_limit a call completes within."""
+
+    made = []
+
+    def __init__(self, budget):
+        super().__init__(budget)
+        self.peak = 0
+        CountingMeter.made.append(self)
+
+    def tick(self):
+        super().tick()
+        self.peak = max(self.peak, self.nodes)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the message and node count it ran out of budget with."""
+    try:
+        return fn(*args)
+    except SearchBudgetExceeded as exc:
+        return str(exc), exc.nodes
+
+
+def reference_call(monkeypatch, fn, *args):
+    """outcome(fn, *args) on the reference search, with its peak node count."""
+    CountingMeter.made.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_path_search_component", reference_path_search)
+        patch.setattr(solvers, "_Meter", CountingMeter)
+        result = outcome(fn, *args)
+        (meter,) = CountingMeter.made
+    return result, meter.peak
+
+
+def transposition_graphs():
+    """Seeded G(n, p), disjoint unions, and twin-rich graphs."""
+    rng = random.Random(9100)
+    graphs = []
+    for n in range(6, 25):
+        for p in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6):
+            graphs.append(random_graph(rng, n, p))
+            if n <= 14:
+                graphs.append(random_graph(rng, n, p))
+    for _ in range(50):
+        a = random_graph(rng, rng.randrange(4, 11), rng.choice([0.3, 0.5]))
+        b = random_graph(rng, rng.randrange(4, 11), rng.choice([0.3, 0.5]))
+        graphs.append(disjoint_union(a, b))
+        graphs.append(disjoint_union(a, a))
+    for a in range(1, 6):
+        for b in range(a, 8):
+            graphs.append(build_graph(a + b, [(i, a + j) for i in range(a) for j in range(b)]))
+    for k in range(1, 7):
+        graphs.append(build_graph(k + 1, [(0, i) for i in range(1, k + 1)]))
+        graphs.append(friendship_graph(k))
+        graphs.append(disjoint_union(friendship_graph(k), friendship_graph(k)))
+    return graphs
+
+
+def reference_cases(monkeypatch, g, limit=50_000):
+    """(function, arguments, reference outcome) triples for one graph.
+
+    Each search runs under `limit` nodes, so that the few graphs whose
+    search takes millions of nodes keep the test quick; there the budgeted
+    outcomes are compared. When a search completes within the limit, its
+    exact node count T is checked too: T nodes complete, T - 1 do not.
+    """
+    cases = []
+
+    def add(fn, *args):
+        want, total = reference_call(monkeypatch, fn, *args)
+        cases.append((fn, args, want))
+        return want, total
+
+    ref, total = add(longest_path, g, SearchBudget(node_limit=limit))
+    if isinstance(ref, tuple) or not ref.optimal:
+        return cases
+    if total:
+        cases.append((longest_path, (g, SearchBudget(node_limit=total)), ref))
+    if total > 1:
+        short, _ = add(longest_path, g, SearchBudget(node_limit=total - 1))
+        assert not short.optimal
+    for m in (ref.length, ref.length + 1):
+        if not 1 <= m <= g.n:
+            continue
+        want, total = add(contains_path, g, m, SearchBudget(node_limit=limit))
+        assert not isinstance(want, tuple)
+        if total:
+            cases.append((contains_path, (g, m, SearchBudget(node_limit=total)), want))
+        if total > 1:
+            short, _ = add(contains_path, g, m, SearchBudget(node_limit=total - 1))
+            assert short == (f"node limit {total - 1} exhausted", total)
+    return cases
+
+
+class TestTranspositionTable:
+    """The table and the inline child tests change speed only: every result,
+    witness, budget message and exact node count equals the reference
+    search's, with the table's cap as it is, at 0 (no table) and at 1."""
+
+    def test_matches_reference_search(self, monkeypatch):
+        graphs = transposition_graphs()
+        assert len(graphs) >= 300
+        cases = [case for g in graphs for case in reference_cases(monkeypatch, g)]
+        counted = sum(fn is contains_path for fn, _, _ in cases)
+        assert counted >= 600
+        replays = []
+        skip = _Meter.skip
+        monkeypatch.setattr(_Meter, "skip", lambda meter, count: (replays.append(count),
+                                                                  skip(meter, count)))
+        for cap in (solvers._TRANSPOSITION_MAX, 0, 1):
+            monkeypatch.setattr(solvers, "_TRANSPOSITION_MAX", cap)
+            replays.clear()
+            for fn, args, want in cases:
+                assert outcome(fn, *args) == want
+            if cap == 0:
+                assert not replays
+            else:
+                assert len(replays) >= 100
 
 
 class TestLongestCycle:
@@ -448,6 +648,44 @@ class TestPathCoverContainer:
     def test_vertex_mask(self):
         cover = PathCover((PathWitness((0, 2)),))
         assert cover.vertex_mask() == 0b101
+
+
+class TestMeterSkip:
+    def test_adds_inside_the_limit(self):
+        meter = _Meter(SearchBudget(node_limit=100))
+        meter.tick()
+        meter.skip(60)
+        meter.skip(39)
+        assert meter.nodes == 100
+        meter.skip(0)
+        assert meter.nodes == 100
+
+    @pytest.mark.parametrize("before, count", [(0, 101), (40, 61), (99, 5), (100, 1)])
+    def test_crossing_the_limit_raises_like_ticks(self, before, count):
+        ticked = _Meter(SearchBudget(node_limit=100))
+        skipped = _Meter(SearchBudget(node_limit=100))
+        ticked.nodes = skipped.nodes = before
+        with pytest.raises(SearchBudgetExceeded) as by_ticks:
+            for _ in range(count):
+                ticked.tick()
+        with pytest.raises(SearchBudgetExceeded) as by_skip:
+            skipped.skip(count)
+        assert str(by_skip.value) == str(by_ticks.value) == "node limit 100 exhausted"
+        assert by_skip.value.nodes == by_ticks.value.nodes == 101
+
+    def test_crossing_a_multiple_of_1024_checks_the_clock(self, monkeypatch):
+        meter = _Meter(SearchBudget(time_limit=60.0))
+        late = meter.deadline + 1.0
+        monkeypatch.setattr(solvers.time, "monotonic", lambda: late)
+        meter.skip(1000)
+        meter.skip(23)
+        assert meter.nodes == 1023
+        with pytest.raises(SearchBudgetExceeded, match="time limit exhausted") as info:
+            meter.skip(2)
+        assert info.value.nodes == 1025
+        meter = _Meter(None)
+        meter.skip(5000)
+        assert meter.nodes == 5000
 
 
 class TestSearchBudget:
