@@ -23,8 +23,16 @@ pointwise. Such an automorphism fixes every individualized vertex, so it
 maps the node's refined partition onto itself, and the subtree below a
 skipped candidate onto the subtree below a tried one, leaf by leaf, with
 equal packings. Pruned subtrees are images of explored ones, so the minimum,
-and with it every certificate, stays the same. automorphism_generators
-returns what one search recorded.
+and with it every certificate, stays the same.
+
+canonical_labeling returns the three results of one search: the
+certificate, the recorded generators and the best ordering. Input vertex
+order[i] gets canonical label i, so pack_by_order(adj, order) is the
+certificate and graph_from_certificate(n, cert) is the input relabelled by
+order. Each generator is a tuple of vertex images and an automorphism of the
+input as labelled; together they generate a subgroup of its automorphism
+group, not always all of it. certificate_adj and automorphism_generators
+return one of the three each.
 
 refine splits every cell by its vertices' neighbour counts in a splitter
 popped from a queue; the root queues the whole vertex set. A child that
@@ -61,14 +69,20 @@ def pack_by_order(adj: tuple[int, ...] | list[int], order: list[int]) -> int:
     return cert
 
 
-def _canonical_search(n: int, adj: tuple[int, ...] | list[int],
-                      tick: Callable[[], None] | None
-                      ) -> tuple[int, list[tuple[int, ...]]]:
-    """The best packing and the automorphism generators the search recorded."""
+def canonical_labeling(n: int, adj: tuple[int, ...] | list[int],
+                       tick: Callable[[], None] | None = None
+                       ) -> tuple[int, list[tuple[int, ...]], list[int]]:
+    """One certificate search: the certificate, the automorphism generators
+    it recorded, and the best ordering (input vertex order[i] gets canonical
+    label i).
+
+    tick, if given, is called once per search node, so a caller's budget can
+    stop the search by raising from it.
+    """
     if n > CANONICAL_MAX:
         raise ValueError(f"canonical form limited to n <= {CANONICAL_MAX}")
     if n <= 1:
-        return 0, []
+        return 0, [], list(range(n))
     nbits = n * (n - 1) // 2
 
     def refine(cells: list[int], queue: list[int]) -> list[int]:
@@ -207,7 +221,7 @@ def _canonical_search(n: int, adj: tuple[int, ...] | list[int],
 
     search([(1 << n) - 1], [(1 << n) - 1], [], 0, 0)
     assert best is not None
-    return best, [perm for perm, _ in gens]
+    return best, [perm for perm, _ in gens], best_order
 
 
 def certificate_adj(n: int, adj: tuple[int, ...] | list[int],
@@ -217,7 +231,7 @@ def certificate_adj(n: int, adj: tuple[int, ...] | list[int],
     tick, if given, is called once per search node, so a caller's budget can
     stop the search by raising from it.
     """
-    return _canonical_search(n, adj, tick)[0]
+    return canonical_labeling(n, adj, tick)[0]
 
 
 def automorphism_generators(n: int, adj: tuple[int, ...] | list[int]) -> list[tuple[int, ...]]:
@@ -225,7 +239,7 @@ def automorphism_generators(n: int, adj: tuple[int, ...] | list[int]) -> list[tu
     vertex images. They generate a subgroup of Aut(G) (all of it on every
     graph with n <= 5, as a test checks); the list is empty when the search
     met no symmetry."""
-    return _canonical_search(n, adj, None)[1]
+    return canonical_labeling(n, adj)[1]
 
 
 def canonical_certificate(g: Graph) -> int:

@@ -30,6 +30,7 @@ from multiprocessing import Pool
 from .canonical import (
     are_isomorphic,
     automorphism_generators,
+    canonical_labeling,
     certificate_adj,
     graph_from_certificate,
 )
@@ -158,14 +159,18 @@ def _child_certs(args: tuple[int, int]) -> set[int]:
         ties = _top_vertices(rows)
         if ties[-1] != n_prev:
             continue  # the new vertex, the highest label, is not among the maxima
-        c = certificate_adj(n, rows)
+        c, child_gens, order = canonical_labeling(n, rows)
         if c in out:
             continue
-        if len(ties) > 1:
-            canon = graph_from_certificate(n, c)
-            rest, _ = induced_subgraph(canon, (1 << n) - 1 ^ 1 << _top_vertices(canon.adj)[0])
-            if certificate_adj(n_prev, rest.adj) != cert:
-                continue
+        m = min(ties, key=order.index)  # preimage of m(C)
+        if m != n_prev:
+            orbit: set[int] = set()
+            _add_orbit(new_bit, child_gens, orbit)
+            if 1 << m not in orbit:
+                low = (1 << m) - 1  # drop m, shifting higher labels down
+                rest = [r & low | (r >> m + 1) << m for v, r in enumerate(rows) if v != m]
+                if certificate_adj(n_prev, rest) != cert:
+                    continue
         out.add(c)
     return out
 
@@ -174,14 +179,25 @@ def level_certs(n: int, jobs: int = 1) -> tuple[int, ...]:
     """Sorted canonical certificates of all isomorphism classes on n vertices.
 
     Canonical augmentation (B. D. McKay, "Isomorph-free exhaustive
-    generation", J. Algorithms 26 (1998)), without automorphism groups. Let
-    inv(v) be (degree, sorted neighbour degrees) and m(C) the lowest-labelled
-    vertex of maximum inv in the canonical graph of class C. Parent P grown by
-    a vertex w into C keeps C iff inv(w) is the maximum and C - m(C) is
-    isomorphic to P; if w alone is maximum, m(C) is w's image and needs no
-    check. So a class comes only from the parent C - m(C), and is not lost:
-    that parent grown by m(C)'s neighbourhood passes the rule. The parents'
-    child sets are disjoint and together cover the level.
+    generation", J. Algorithms 26 (1998)). Let inv(v) be (degree, sorted
+    neighbour degrees) and m(C) the lowest-labelled vertex of maximum inv in
+    the canonical graph of class C. Parent P grown by a vertex w into C keeps
+    C iff inv(w) is the maximum and C - m(C) is isomorphic to P. So a class
+    comes only from the parent C - m(C), and is not lost: that parent grown
+    by m(C)'s neighbourhood passes the rule. The parents' child sets are
+    disjoint and together cover the level.
+
+    One certificate search of C decides the rule. inv is an invariant, so
+    the maxima of the canonical graph are the images of C's own maxima, and
+    m(C) is the image of m, the maximum placed first in the search's best
+    ordering. C is kept by the first route that applies, each exact:
+    - m is w: C - w is P as given;
+    - m is in w's orbit under the generators the search recorded: an
+      automorphism of C mapping w to m makes C - m isomorphic to C - w = P;
+    - C - m, in C's own labels, has P's certificate; otherwise C is
+      rejected.
+    The generators may miss part of Aut(C); that only sends a tie to the
+    last route.
 
     Each parent tries one neighbourhood per orbit of Aut(P) on vertex sets,
     using the generators its certificate search records: an automorphism g

@@ -12,6 +12,7 @@ from pathforce.canonical import (
     are_isomorphic,
     automorphism_generators,
     canonical_certificate,
+    canonical_labeling,
     certificate_adj,
     certificate_bruteforce,
     graph_from_certificate,
@@ -201,6 +202,27 @@ class TestAutomorphisms:
         cert = canonical_certificate(g)
         assert time.monotonic() - start < 1
         assert cert == canonical_certificate(relabeled(random.Random(410), g))
+
+
+class TestLabeling:
+    def test_ordering_contract(self):
+        # input vertex order[i] gets canonical label i
+        rng = random.Random(411)
+        graphs = [random_graph(rng, rng.randrange(0, 11), rng.choice([0.1, 0.3, 0.5, 0.8]))
+                  for _ in range(200)]
+        graphs += [friendship_graph(k) for k in range(1, 6)]
+        graphs += [build_graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+                   for a in range(1, 5) for b in range(a, 6)]
+        graphs += [build_graph(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(3, 11)]
+        for g in graphs:
+            cert, gens, order = canonical_labeling(g.n, g.adj)
+            assert sorted(order) == list(range(g.n))
+            assert cert == certificate_adj(g.n, g.adj) == pack_by_order(g.adj, order)
+            assert gens == automorphism_generators(g.n, g.adj)
+            assert all(is_automorphism(g, perm) for perm in gens)
+            relabeled_rows = tuple(sum((g.adj[v] >> u & 1) << j for j, u in enumerate(order))
+                                   for v in order)
+            assert relabeled_rows == graph_from_certificate(g.n, cert).adj
 
 
 class TestAreIsomorphic:

@@ -96,7 +96,7 @@ class TestEnumeration:
             assert hashlib.sha256(text.encode()).hexdigest() == digest, n
 
     def test_each_class_has_one_parent(self):
-        for n in range(2, 8):
+        for n in range(2, 9):
             parts = [oracle._child_certs((n - 1, p)) for p in level_certs(n - 1)]
             union = set().union(*parts)
             assert sum(map(len, parts)) == len(union)
@@ -106,6 +106,48 @@ class TestEnumeration:
         for n in range(2, 8):
             for p in level_certs(n - 1):
                 assert oracle._child_certs((n - 1, p)) == unpruned_child_certs(n - 1, p)
+
+    def test_tie_routes_to_eight(self, monkeypatch):
+        # a tied child is kept when m, the maximum placed first in its own
+        # canonical ordering, is the new vertex or lies in its orbit; only
+        # the rest need the certificate of C - m
+        routes = {"new vertex": 0, "other": 0, "fallback": 0}
+        labeling, certificate = oracle.canonical_labeling, oracle.certificate_adj
+
+        def counted_labeling(n, rows):
+            found = labeling(n, rows)
+            ties = oracle._top_vertices(rows)
+            if len(ties) > 1:
+                m = min(ties, key=found[2].index)
+                routes["new vertex" if m == n - 1 else "other"] += 1
+            return found
+
+        def counted_certificate(n, rows):
+            routes["fallback"] += 1
+            return certificate(n, rows)
+
+        monkeypatch.setattr(oracle, "_LEVELS", {1: (0,)})
+        monkeypatch.setattr(oracle, "canonical_labeling", counted_labeling)
+        monkeypatch.setattr(oracle, "certificate_adj", counted_certificate)
+        level_certs(8)
+        # 4,624 tied children, 7 of them repeats of a class already kept (6
+        # with m = w, 1 without); of the 4,617 decided, 1,814 have m = w,
+        # 1,924 go by orbit and 879 need the certificate of C - m
+        assert routes == {"new vertex": 1820, "other": 2804, "fallback": 879}
+
+    def test_fallback_alone_is_complete(self, monkeypatch):
+        # withheld generators send every tie with m != w to the certificate test
+        labeling = oracle.canonical_labeling
+
+        def without_generators(n, rows):
+            cert, _, order = labeling(n, rows)
+            return cert, [], order
+
+        monkeypatch.setattr(oracle, "_LEVELS", {1: (0,)})
+        monkeypatch.setattr(oracle, "canonical_labeling", without_generators)
+        for n in range(1, 8):
+            text = ",".join(map(str, level_certs(n)))
+            assert hashlib.sha256(text.encode()).hexdigest() == LEVEL_DIGESTS[n], n
 
     def test_parallel_matches_serial(self, monkeypatch):
         serial = level_certs(7)
@@ -140,7 +182,11 @@ class TestEnumeration:
 
     @pytest.mark.slow
     def test_class_count_at_limit(self):
-        assert len(level_certs(ENUMERATION_MAX)) == KNOWN_CLASS_COUNTS[ENUMERATION_MAX]
+        certs = level_certs(ENUMERATION_MAX)
+        assert len(certs) == KNOWN_CLASS_COUNTS[ENUMERATION_MAX]
+        # captured before ties were decided from the child's own search
+        assert hashlib.sha256(",".join(map(str, certs)).encode()).hexdigest() == \
+            "b7a11d0d7400e03c292586e5caec10f7d06c35043d5989d6852ec00e999c9fd8"
 
 
 class TestClassStats:
