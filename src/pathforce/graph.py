@@ -231,15 +231,55 @@ def articulation_vertices(g: Graph) -> int:
     return _blocks_and_cuts(g)[1]
 
 
+def _two_connected_on(adj: tuple[int, ...], mask: int) -> bool:
+    """Whether the subgraph induced on mask is 2-connected.
+
+    One lowpoint DFS (Hopcroft and Tarjan 1973), returning at the first cut
+    vertex. An undirected DFS has no cross edges, so the visited neighbours
+    of a vertex entered for the first time are its ancestors, and its
+    lowpoint starts at their smallest number.
+    """
+    if mask.bit_count() < 3:
+        return False
+    root = (mask & -mask).bit_length() - 1
+    num, low = [0] * mask.bit_length(), [0] * mask.bit_length()
+    unvisited = mask ^ 1 << root
+    stack = [root]
+    count = 1
+    while stack:
+        v = stack[-1]
+        rest = adj[v] & unvisited
+        if rest:
+            if v == root and count > 1:
+                return False  # a second DFS child of the root
+            bit = rest & -rest
+            unvisited ^= bit
+            w = bit.bit_length() - 1
+            num[w] = count
+            count += 1
+            lw = num[v]
+            back = adj[w] & mask & ~unvisited
+            while back:
+                b = back & -back
+                back ^= b
+                if num[b.bit_length() - 1] < lw:
+                    lw = num[b.bit_length() - 1]
+            low[w] = lw
+            stack.append(w)
+            continue
+        stack.pop()
+        if len(stack) > 1:
+            p = stack[-1]
+            if low[v] >= num[p]:
+                return False  # p separates v's subtree from the root
+            if low[v] < low[p]:
+                low[p] = low[v]
+    return not unvisited
+
+
 def is_two_connected(g: Graph) -> bool:
     """Connected, at least 3 vertices, no cut vertex."""
-    if g.n < 3 or not is_connected(g):
-        return False
-    return articulation_vertices(g) == 0
-
-
-def _is_forest(g: Graph) -> bool:
-    return g.edge_count() == g.n - len(connected_components(g))
+    return _two_connected_on(g.adj, g.vertex_mask())
 
 
 def is_essentially_two_connected(g: Graph) -> bool:
@@ -250,11 +290,12 @@ def is_essentially_two_connected(g: Graph) -> bool:
     """
     if not is_connected(g):
         raise ValueError("definition not applicable: graph is disconnected")
-    if _is_forest(g):
+    # a connected graph is a tree exactly when it has n - 1 edges; the empty
+    # graph counts as a forest too
+    if g.edge_count() == max(g.n - 1, 0):
         raise ValueError("definition not applicable: graph is a forest")
     keep = mask_of(v for v in range(g.n) if g.degree(v) != 1)
-    core, _ = induced_subgraph(g, keep)
-    return is_two_connected(core)
+    return _two_connected_on(g.adj, keep)
 
 
 @dataclass(frozen=True)
@@ -276,13 +317,20 @@ class BipartitionView:
         if (self.x_mask | self.y_mask) != full:
             raise ValueError("bipartition does not cover the vertex set")
         for side, name in ((self.x_mask, "X"), (self.y_mask, "Y")):
-            for v in bits(side):
+            rest = side
+            while rest:
+                v = (rest & -rest).bit_length() - 1
+                rest ^= 1 << v
                 if g.adj[v] & side:
                     raise ValueError(f"{name} not independent on its side: edge at vertex {v}")
 
     @classmethod
     def from_x(cls, graph: Graph, x_vertices: Iterable[int]) -> "BipartitionView":
-        x = mask_of(x_vertices)
+        x = 0
+        for v in x_vertices:
+            if not 0 <= v < graph.n:
+                raise ValueError(f"X-vertex {v} out of range for n={graph.n}")
+            x |= 1 << v
         return cls(graph, x, graph.vertex_mask() & ~x)
 
     def x_vertices(self) -> list[int]:
@@ -292,7 +340,12 @@ class BipartitionView:
         return list(bits(self.y_mask))
 
     def min_x_degree(self) -> int:
-        return min(self.graph.degree(v) for v in bits(self.x_mask))
+        adj, rest, degrees = self.graph.adj, self.x_mask, []
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            degrees.append(adj[low.bit_length() - 1].bit_count())
+        return min(degrees)
 
 
 @dataclass(frozen=True)

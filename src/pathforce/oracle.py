@@ -57,7 +57,6 @@ from .graph import (
     PathWitness,
     biconnected_components,
     bits,
-    build_graph,
     encode_graph6,
     high_degree_vertices,
     induced_subgraph,
@@ -280,8 +279,9 @@ def random_bipartite_instance(seed: int, d: int, profile: str, t: int = 1) -> Bi
     """Pseudorandom instance satisfying the named hypothesis set exactly.
 
     X occupies vertices 0..|X|-1, Y the rest. Edges are sampled at density
-    0.5, deficient X-degrees are repaired by adding random edges, and the
-    connectivity class of the profile is enforced by rejection.
+    0.5 and deficient X-degrees are repaired by adding random edges. Each
+    candidate is then kept or rejected by one hypothesis_holds call, which
+    enforces the connectivity class of the profile.
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown profile: {profile}")
@@ -296,30 +296,23 @@ def random_bipartite_instance(seed: int, d: int, profile: str, t: int = 1) -> Bi
     for _ in range(200):
         nx = rng.randint(x_lo, x_hi)
         ny = rng.randint(y_lo, y_hi)
-        nbrs = [set() for _ in range(nx)]
+        rows = [0] * (nx + ny)
         for x in range(nx):
-            for y in range(ny):
+            for y in range(nx, nx + ny):
                 if rng.random() < 0.5:
-                    nbrs[x].add(y)
+                    rows[x] |= 1 << y
         for x in range(nx):
-            missing = sorted(set(range(ny)) - nbrs[x])
-            while len(nbrs[x]) < d:
-                y = missing.pop(rng.randrange(len(missing)))
-                nbrs[x].add(y)
-        edges = [(x, nx + y) for x in range(nx) for y in sorted(nbrs[x])]
-        g = build_graph(nx + ny, edges)
-        if profile == "klz":
-            if not is_two_connected(g):
-                continue
-        elif profile == "essential":
-            try:
-                if not is_essentially_two_connected(g):
-                    continue
-            except ValueError:
-                continue
-        b = BipartitionView(g, mask_of(range(nx)), mask_of(range(nx, nx + ny)))
-        assert hypothesis_holds(b, d, profile, t)
-        return b
+            missing = [y for y in range(nx, nx + ny) if not rows[x] >> y & 1]
+            while rows[x].bit_count() < d:
+                rows[x] |= 1 << missing.pop(rng.randrange(len(missing)))
+            rest = rows[x]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                rows[low.bit_length() - 1] |= 1 << x
+        b = BipartitionView(Graph(nx + ny, tuple(rows)), (1 << nx) - 1, ((1 << ny) - 1) << nx)
+        if hypothesis_holds(b, d, profile, t):
+            return b
     raise RuntimeError(
         f"instance sampling failed after 200 attempts (seed={seed}, d={d}, profile={profile})")
 
@@ -505,9 +498,13 @@ def _random_merge_instance(seed: int, d: int) -> tuple[Graph, PathCover]:
     for _ in range(1000):
         n = rng.randint(d + 1, 2 * d + 1)
         p = rng.uniform(0.45, 0.85)
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-                 if rng.random() < p]
-        g = build_graph(n, edges)
+        rows = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < p:
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+        g = Graph(n, tuple(rows))
         high = high_degree_vertices(g, d)
         if not high or not is_connected(g):
             continue

@@ -36,7 +36,6 @@ from .graph import (
     PathWitness,
     biconnected_components,
     bits,
-    build_graph,
     connected_components,
     high_degree_vertices,
     induced_subgraph,
@@ -517,7 +516,8 @@ def find_path_through_X(b: BipartitionView, mode: str,
         wit.validate(g)
         return wit
     apex = g.n
-    aug = build_graph(g.n + 1, g.edges() + [(x, apex) for x in xs])
+    aug = Graph(g.n + 1, tuple(row | 1 << apex if b.x_mask >> v & 1 else row
+                               for v, row in enumerate(g.adj)) + (b.x_mask,))
     baug = BipartitionView(aug, b.x_mask, b.y_mask | 1 << apex)
     cyc = find_cycle_through_X(baug, budget)
     if cyc is None:
@@ -568,9 +568,9 @@ def path_cover_of_X(b: BipartitionView, t: int,
             iso |= 1 << y
     sub, ids = induced_subgraph(g, g.vertex_mask() & ~iso)
     x_local = mask_of(i for i, orig in enumerate(ids) if b.x_mask >> orig & 1)
-    apexes = range(sub.n, sub.n + t)
-    aug = build_graph(sub.n + t,
-                      sub.edges() + [(x, a) for a in apexes for x in bits(x_local)])
+    apexes = ((1 << t) - 1) << sub.n
+    aug = Graph(sub.n + t, tuple(row | apexes if x_local >> v & 1 else row
+                                 for v, row in enumerate(sub.adj)) + (x_local,) * t)
     y_local = aug.vertex_mask() & ~x_local
     baug = BipartitionView(aug, x_local, y_local)
     inner = find_path_through_X(baug, "essential", budget, require_hypothesis=ok)

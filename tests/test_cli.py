@@ -169,6 +169,14 @@ class TestSolveCommand:
         assert code == 0
         assert "WITNESS cycle" in out
 
+    @pytest.mark.parametrize("x,bad", [("-1,0", -1), ("0,99", 99)])
+    def test_cycle_through_x_out_of_range_exits_two(self, capsys, monkeypatch, x, bad):
+        self.feed(monkeypatch, encode_graph6(build_graph(8, [(i, (i + 1) % 8) for i in range(8)])))
+        code, out, err = run_cli(capsys, ["solve", "cycle-through-x", f"--x={x}"])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: X-vertex {bad} out of range for n=8\n"
+
     def test_cycle_through_x_requires_x(self, capsys, monkeypatch):
         self.feed(monkeypatch, cycle6_text())
         code, _, err = run_cli(capsys, ["solve", "cycle-through-x"])

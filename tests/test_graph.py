@@ -8,11 +8,13 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pathforce.canonical import graph_from_certificate
 from pathforce.graph import (
     BipartitionView,
     CycleWitness,
     Graph,
     PathWitness,
+    _two_connected_on,
     articulation_vertices,
     biconnected_components,
     bits,
@@ -29,6 +31,7 @@ from pathforce.graph import (
     is_two_connected,
     mask_of,
 )
+from pathforce.oracle import level_certs
 
 
 def random_graph(rng, n, p):
@@ -41,6 +44,31 @@ def cycle_graph(n):
 
 def path_graph(n):
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def ref_two_connected(g):
+    """Definition: at least 3 vertices, connected, and G - v connected for every v."""
+    if g.n < 3 or len(connected_components(g)) != 1:
+        return False
+    return all(len(connected_components(induced_subgraph(g, g.vertex_mask() ^ 1 << v)[0])) == 1
+               for v in range(g.n))
+
+
+def ref_essentially_two_connected(g):
+    comps = connected_components(g)
+    if len(comps) > 1:
+        raise ValueError("definition not applicable: graph is disconnected")
+    if g.edge_count() == g.n - len(comps):
+        raise ValueError("definition not applicable: graph is a forest")
+    core, _ = induced_subgraph(g, mask_of(v for v in range(g.n) if g.degree(v) != 1))
+    return ref_two_connected(core)
+
+
+def _outcome(fn, g):
+    try:
+        return fn(g)
+    except ValueError as exc:
+        return str(exc)
 
 
 class TestGraph:
@@ -144,6 +172,37 @@ class TestConnectivity:
         with pytest.raises(ValueError, match="forest"):
             is_essentially_two_connected(path_graph(4))
 
+    def test_two_connectivity_matches_definition_exhaustively(self):
+        graphs = [Graph(0, ())] + [graph_from_certificate(n, cert)
+                                   for n in range(1, 8) for cert in level_certs(n)]
+        for g in graphs:
+            assert is_two_connected(g) == ref_two_connected(g)
+            assert _outcome(is_essentially_two_connected, g) == \
+                _outcome(ref_essentially_two_connected, g)
+
+    def test_masked_two_connectivity_matches_networkx(self):
+        rng = random.Random(404)
+        for trial in range(600):
+            n = rng.randrange(0, 14)
+            g = random_graph(rng, n, rng.choice([0.2, 0.4, 0.7]))
+            mask = rng.getrandbits(n)
+            keep = list(bits(mask))
+            want = len(keep) >= 3 and nx.is_biconnected(_to_nx(g).subgraph(keep))
+            assert _two_connected_on(g.adj, mask) == want
+
+    def test_two_connectivity_at_max_vertices(self):
+        n = 512
+        cycle = cycle_graph(n)
+        pendant = build_graph(n, [(i, (i + 1) % (n - 1)) for i in range(n - 1)]
+                              + [(0, n - 1)])
+        assert is_two_connected(cycle)
+        assert is_essentially_two_connected(cycle)
+        assert not is_two_connected(path_graph(n))
+        with pytest.raises(ValueError, match="forest"):
+            is_essentially_two_connected(path_graph(n))
+        assert not is_two_connected(pendant)
+        assert is_essentially_two_connected(pendant)
+
     def test_blocks_and_cuts_match_networkx(self):
         rng = random.Random(401)
         for trial in range(200):
@@ -217,6 +276,13 @@ class TestBipartitionView:
         assert b.x_vertices() == [0, 1]
         assert b.y_vertices() == [2, 3]
         assert b.min_x_degree() == 1
+
+    def test_from_x_rejects_out_of_range(self):
+        g = cycle_graph(8)
+        with pytest.raises(ValueError, match=r"^X-vertex 99 out of range for n=8$"):
+            BipartitionView.from_x(g, [0, 99])
+        with pytest.raises(ValueError, match=r"^X-vertex -1 out of range for n=8$"):
+            BipartitionView.from_x(g, [-1, 0])
 
     def test_rejects_edges_inside_a_side(self):
         g = build_graph(3, [(0, 1), (1, 2)])

@@ -11,7 +11,7 @@ import pytest
 import pathforce.oracle as oracle
 from pathforce.canonical import certificate_adj, certificate_bruteforce, graph_from_certificate
 from pathforce.formulas import PhiParams, phi
-from pathforce.graph import PathWitness, build_graph, decode_graph6
+from pathforce.graph import PathWitness, build_graph, decode_graph6, encode_graph6
 from pathforce.oracle import (
     CONSTRUCTIONS,
     ENUMERATION_MAX,
@@ -234,7 +234,39 @@ class TestDeriveSeed:
         assert len(seen) == 400
 
 
+# sha256 over one "graph6 |X|" line per sampled instance (every valid d in
+# 2..6, t in {1, 2} for lemma35, seeds 0..49), and over one "graph6 paths"
+# line per merge instance (d = 3..5, seeds 0..99). The lemma suites' instances,
+# and so their reports, are fixed by these streams.
+SAMPLER_DIGESTS = {
+    "jackson": "577899cebfbcc17a1ff41cb3acea39660c9df0715a0194f48b4588942b40026e",
+    "klz": "98c0fd61802708e0f0b17e1e49974e8de1931ea04ecfadb7da56f8e57ce5aa4e",
+    "essential": "fb21ed57e41e9740da80e9e2f0d21920a9ccfcaef6d8073637a0c94848f651dc",
+    "lemma35": "479d7edfdca52e4a72db63f38601baaabddaa4aa91ea68d789eff13957c94414",
+}
+MERGE_DIGEST = "3f1765222196c61e891f32546c9b899614a50dff9beaf0bcbee08da8273d0ce4"
+
+
 class TestRandomInstances:
+    @pytest.mark.parametrize("profile", sorted(SAMPLER_DIGESTS))
+    def test_sampler_stream_pinned(self, profile):
+        h = hashlib.sha256()
+        for d in range(3 if profile in ("klz", "essential") else 2, 7):
+            for t in ((1, 2) if profile == "lemma35" else (1,)):
+                for seed in range(50):
+                    b = random_bipartite_instance(seed, d, profile, t)
+                    h.update(f"{encode_graph6(b.graph)} {b.x_mask.bit_count()}\n".encode())
+        assert h.hexdigest() == SAMPLER_DIGESTS[profile]
+
+    def test_merge_stream_pinned(self):
+        h = hashlib.sha256()
+        for d in range(3, 6):
+            for seed in range(100):
+                g, family = oracle._random_merge_instance(seed, d)
+                paths = [list(p.vertices) for p in family.paths]
+                h.update(f"{encode_graph6(g)} {paths}\n".encode())
+        assert h.hexdigest() == MERGE_DIGEST
+
     def test_self_consistency_all_profiles(self):
         for profile in PROFILES:
             d0 = 3 if profile in ("klz", "essential") else 2
