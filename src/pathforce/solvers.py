@@ -20,6 +20,15 @@ searched again, so every node count, budget outcome and witness is that of
 the plain search. Only failed subtrees are stored, and a success ends the
 search, so a replay never hides a witness. The table stops growing at
 _TRANSPOSITION_MAX entries, which bounds its memory on unbudgeted searches.
+
+The reach prune is decided once per component of the free region (the
+component minus the path prefix). A child u is searched only if the
+neighbors of u in free - u reach enough vertices inside free - u; that reach
+is exactly u's component of G[free] minus u, so siblings in one component
+share the decision, and one bounded search from u settles all of them. A
+child u that passes and has a lone neighbor v off the path hands the
+decision down: v's component of G[free - u] is u's minus u. Which children
+are searched does not change, so neither do node counts.
 """
 
 from __future__ import annotations
@@ -180,6 +189,15 @@ def _path_search_component(g: Graph, comp: int, m: int, meter: _Meter) -> list[i
     end, transposition table, reach prune); only a child that survives every
     test is descended into. Table keys pack (S, u) as the free part of the
     component, shifted, with u in the low bits.
+
+    The reach prune asks whether u's component of G[free] holds more than
+    need vertices, since the reach of N(u) in free - u is that component
+    minus u. The answer is shared by all siblings in the component: a
+    search from u that stops early marks what it saw as passing, and one
+    that does not stop has seen u's whole component, which fails. The root's
+    candidates all pass (comp is connected and has m vertices or more), and
+    so does the lone child v of a passed u, whose component of G[free - u]
+    is u's minus u; both are handed to extend as known.
     """
     adj = g.adj
     stack: list[int] = []
@@ -187,11 +205,16 @@ def _path_search_component(g: Graph, comp: int, m: int, meter: _Meter) -> list[i
     shift = g.n.bit_length()
     tick = meter.tick
 
-    def extend(cand: int, free: int) -> bool:
-        """Try each child in cand; free is the component off the path."""
+    def extend(cand: int, free: int, known: int) -> bool:
+        """Try each child in cand; free is the component off the path, and
+        known holds candidates already known to pass the reach prune."""
         tried_open: list[int] = []
         tried_closed: list[int] = []
         need = m - 1 - len(stack)  # vertices still wanted below each child
+        # vertices whose component of G[free] has more than need vertices
+        # (big) or at most need (small), as far as decided so far
+        big = known
+        small = 0
         while cand:
             low = cand & -cand
             cand ^= low
@@ -200,8 +223,9 @@ def _path_search_component(g: Graph, comp: int, m: int, meter: _Meter) -> list[i
             kc = ko | low
             if ko in tried_open or kc in tried_closed:
                 continue
-            tried_open.append(ko)
-            tried_closed.append(kc)
+            if cand:  # no later sibling reads the last candidate's entry
+                tried_open.append(ko)
+                tried_closed.append(kc)
             tick()
             stack.append(u)
             if not need:
@@ -211,23 +235,33 @@ def _path_search_component(g: Graph, comp: int, m: int, meter: _Meter) -> list[i
             # at need <= 2 no reach prune runs and a subtree has few nodes,
             # so a table entry would cost more than it saves
             if cu and need <= 2:
-                if extend(cu, rest):
+                if extend(cu, rest, 0):
                     return True
             elif cu:
                 key = rest << shift | u
                 replay = failed.get(key)
                 if replay is not None:
                     meter.skip(replay)
-                elif _reach_mask(adj, cu, rest, need).bit_count() >= need:
-                    start = meter.nodes
-                    if extend(cu, rest):
-                        return True
-                    if len(failed) < _TRANSPOSITION_MAX:
-                        failed[key] = meter.nodes - start
+                elif not low & small:
+                    if not low & big:
+                        # a search that stops early holds more than need
+                        # vertices; one that does not stop is u's whole component
+                        reach = _reach_mask(adj, low, free, need + 1)
+                        if reach.bit_count() > need:
+                            big |= reach
+                        else:
+                            small |= reach
+                    if low & big:
+                        start = meter.nodes
+                        # a lone child's component of G[rest] is u's minus u
+                        if extend(cu, rest, 0 if cu & (cu - 1) else cu):
+                            return True
+                        if len(failed) < _TRANSPOSITION_MAX:
+                            failed[key] = meter.nodes - start
             stack.pop()
         return False
 
-    return stack if extend(comp, comp) else None
+    return stack if extend(comp, comp, comp) else None
 
 
 def _component_classes(g: Graph, min_size: int, meter: _Meter) -> Iterator[int]:

@@ -24,7 +24,7 @@ from pathforce.solvers import (
     merge_high_end_paths,
     path_cover_of_X,
 )
-from pathforce.solvers import _Meter, _reach_mask
+from pathforce.solvers import _Meter
 
 
 def random_graph(rng, n, p):
@@ -304,7 +304,8 @@ def reference_path_search(g, comp, m, meter):
         visited |= 1 << v
         cand = adj[v] & comp & ~visited
         need = m - len(stack)
-        if need > 2 and _reach_mask(adj, cand, comp & ~visited, need).bit_count() < need:
+        if need > 2 and solvers._reach_mask(adj, cand, comp & ~visited,
+                                            need).bit_count() < need:
             stack.pop()
             return False
         if branch(cand, visited):
@@ -351,8 +352,73 @@ def reference_call(monkeypatch, fn, *args):
     return result, meter.peak
 
 
+def relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def path_edges(count):
+    """Edges of the path 0, 1, ..., count - 1."""
+    return [(i, i + 1) for i in range(count - 1)]
+
+
+def glue(n, edges, block, at):
+    """(n, edges) with a copy of block = (size, edges) whose vertex 0 is
+    identified with vertex at, which becomes a cut vertex."""
+    size, inner = block
+    ids = [at] + list(range(n, n + size - 1))
+    return n + size - 1, edges + [(ids[u], ids[v]) for u, v in inner]
+
+
+def cut_vertex_graphs():
+    """Brooms, caterpillars, two cliques joined by a path, spiders and
+    chains of blocks, each as built and relabelled at random.
+
+    Their cut vertices split the region off a path prefix into several
+    components, so siblings at one node fall in different components, in
+    one too small to hold the rest of the path, and children are often
+    the lone neighbor of their parent off the path.
+    """
+    rng = random.Random(9101)
+    built = []
+    for handle, bristles in ((3, 4), (5, 3), (6, 6), (8, 2), (4, 9)):
+        built.append((handle + bristles, path_edges(handle)
+                      + [(handle - 1, handle + j) for j in range(bristles)]))
+    for spine in (4, 6, 8, 10, 12):
+        n, edges = spine, path_edges(spine)
+        for v in range(spine):
+            for _ in range(rng.randrange(3)):
+                n, edges = glue(n, edges, (2, [(0, 1)]), v)
+        built.append((n, edges))
+    for a, b, length in ((3, 4, 1), (4, 4, 3), (5, 3, 2), (4, 6, 4), (3, 3, 6)):
+        n, edges = glue(a, list(combinations(range(a), 2)),
+                        (length + 1, path_edges(length + 1)), a - 1)
+        built.append(glue(n, edges, (b, list(combinations(range(b), 2))), n - 1))
+    for legs in ((2, 2, 2), (1, 2, 3, 4), (3, 3, 3, 3), (2, 5, 1), (4, 4, 1, 1, 1)):
+        n, edges = 1, []
+        for leg in legs:
+            n, edges = glue(n, edges, (leg + 1, path_edges(leg + 1)), 0)
+        built.append((n, edges))
+    blocks = [(3, [(0, 1), (1, 2), (0, 2)]), (4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+              (4, list(combinations(range(4), 2))),
+              (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+              (4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]), (2, [(0, 1)])]
+    for _ in range(20):
+        n, edges = 1, []
+        for _ in range(rng.randrange(3, 7)):
+            n, edges = glue(n, edges, rng.choice(blocks), rng.randrange(n))
+        built.append((n, edges))
+    graphs = []
+    for n, edges in built:
+        g = build_graph(n, edges)
+        graphs += [g, relabelled(g, rng)]
+    return graphs
+
+
 def transposition_graphs():
-    """Seeded G(n, p), disjoint unions, and twin-rich graphs."""
+    """Seeded G(n, p), disjoint unions, twin-rich graphs and graphs rich in
+    cut vertices."""
     rng = random.Random(9100)
     graphs = []
     for n in range(6, 25):
@@ -372,7 +438,7 @@ def transposition_graphs():
         graphs.append(build_graph(k + 1, [(0, i) for i in range(1, k + 1)]))
         graphs.append(friendship_graph(k))
         graphs.append(disjoint_union(friendship_graph(k), friendship_graph(k)))
-    return graphs
+    return graphs + cut_vertex_graphs()
 
 
 def reference_cases(monkeypatch, g, limit=50_000):
@@ -435,6 +501,37 @@ class TestTranspositionTable:
                 assert not replays
             else:
                 assert len(replays) >= 100
+
+    def test_siblings_share_the_reach_decision(self, monkeypatch):
+        # budgeted queries of the benchmark's lp-dfs-budget shape; with one
+        # reach search per sibling these graphs take 0.545 of the reference
+        # search's reach searches, with one per component of the free region
+        # 0.284
+        rng = random.Random(2700)
+        graphs = [random_graph(rng, n, p) for n, p in
+                  ((19, 0.3), (21, 0.2), (23, 0.15), (24, 0.1), (26, 0.15), (20, 0.3),
+                   (22, 0.2), (25, 0.1))]
+        calls = [0]
+        reach = solvers._reach_mask
+
+        def counting(*args):
+            calls[0] += 1
+            return reach(*args)
+
+        monkeypatch.setattr(solvers, "_reach_mask", counting)
+        ours = theirs = 0
+        for g in graphs:
+            calls[0] = 0
+            got = longest_path(g, SearchBudget(node_limit=20_000))
+            spent = calls[0]
+            calls[0] = 0
+            want, _ = reference_call(monkeypatch, longest_path, g,
+                                     SearchBudget(node_limit=20_000))
+            assert got == want
+            assert spent < calls[0]
+            ours += spent
+            theirs += calls[0]
+        assert ours <= 0.45 * theirs
 
 
 class TestLongestCycle:
