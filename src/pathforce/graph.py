@@ -160,121 +160,79 @@ def is_connected(g: Graph) -> bool:
     return len(connected_components(g)) == 1
 
 
-def _blocks_and_cuts(g: Graph) -> tuple[list[int], int]:
-    """Biconnected components (vertex masks) and articulation vertex bitset."""
-    n = g.n
-    num = [-1] * n
-    low = [0] * n
-    children = [0] * n
-    edge_stack: list[tuple[int, int]] = []
-    blocks: list[int] = []
-    art = 0
-    counter = 0
-    for root in range(n):
-        if num[root] >= 0:
-            continue
-        num[root] = low[root] = counter
-        counter += 1
-        stack: list[list[int]] = [[root, -1, g.adj[root]]]
+def _blocks_on(adj: tuple[int, ...], mask: int) -> Iterator[int]:
+    """Yield the blocks of the subgraph induced on mask as vertex masks.
+
+    One lowpoint DFS (Hopcroft and Tarjan 1973), lowest vertex first. A block
+    is yielded the moment it closes: a child v of p finishes with
+    low[v] >= num[p], and the block is p plus the vertices entered since v
+    that no earlier block took. An undirected DFS has no cross edges, so the
+    visited neighbours of a vertex entered for the first time are its
+    ancestors, and its lowpoint starts at their smallest number. Isolated
+    vertices lie in no block; a bridge is a 2-vertex block.
+    """
+    num = [0] * mask.bit_length()
+    low, opened_at = num[:], num[:]
+    unvisited = mask
+    count = 0
+    opened = 0  # entered non-root vertices that no yielded block took yet
+    while unvisited:
+        root = unvisited & -unvisited
+        unvisited ^= root
+        stack = [root.bit_length() - 1]
+        num[stack[0]] = count
+        count += 1
         while stack:
-            frame = stack[-1]
-            v, parent, rest = frame
-            advanced = False
-            while rest:
-                w_bit = rest & -rest
-                rest ^= w_bit
-                frame[2] = rest
-                w = w_bit.bit_length() - 1
-                if w == parent:
-                    continue
-                if num[w] < 0:
-                    edge_stack.append((v, w))
-                    num[w] = low[w] = counter
-                    counter += 1
-                    children[v] += 1
-                    stack.append([w, v, g.adj[w]])
-                    advanced = True
-                    break
-                if num[w] < num[v]:
-                    edge_stack.append((v, w))
-                    if num[w] < low[v]:
-                        low[v] = num[w]
-            if advanced:
+            v = stack[-1]
+            rest = adj[v] & unvisited
+            if rest:
+                bit = rest & -rest
+                unvisited ^= bit
+                w = bit.bit_length() - 1
+                num[w] = count
+                count += 1
+                lw = num[v]
+                back = adj[w] & mask & ~unvisited
+                while back:
+                    b = back & -back
+                    back ^= b
+                    if num[b.bit_length() - 1] < lw:
+                        lw = num[b.bit_length() - 1]
+                low[w] = lw
+                opened_at[w] = opened
+                opened |= bit
+                stack.append(w)
                 continue
             stack.pop()
-            if parent < 0:
-                continue
-            if low[v] < low[parent]:
-                low[parent] = low[v]
-            if low[v] >= num[parent]:
-                mask = 0
-                while True:
-                    a, b = edge_stack.pop()
-                    mask |= (1 << a) | (1 << b)
-                    if (a, b) == (parent, v):
-                        break
-                blocks.append(mask)
-                if parent != root:
-                    art |= 1 << parent
-        if children[root] >= 2:
-            art |= 1 << root
-    return blocks, art
+            if stack:
+                p = stack[-1]
+                if low[v] >= num[p]:
+                    yield opened ^ opened_at[v] | 1 << p
+                    opened = opened_at[v]
+                elif low[v] < low[p]:
+                    low[p] = low[v]
 
 
 def biconnected_components(g: Graph) -> list[int]:
-    """Vertex masks of the biconnected components (blocks). Isolated vertices
-    belong to no block; each bridge forms a 2-vertex block."""
-    return _blocks_and_cuts(g)[0]
+    """Vertex masks of the biconnected components (blocks), in the order they
+    close. Isolated vertices belong to no block; each bridge forms a 2-vertex
+    block."""
+    return list(_blocks_on(g.adj, g.vertex_mask()))
 
 
 def articulation_vertices(g: Graph) -> int:
-    return _blocks_and_cuts(g)[1]
+    """Bitset of the vertices lying in two or more blocks."""
+    seen = cuts = 0
+    for block in _blocks_on(g.adj, g.vertex_mask()):
+        cuts |= seen & block
+        seen |= block
+    return cuts
 
 
 def _two_connected_on(adj: tuple[int, ...], mask: int) -> bool:
-    """Whether the subgraph induced on mask is 2-connected.
-
-    One lowpoint DFS (Hopcroft and Tarjan 1973), returning at the first cut
-    vertex. An undirected DFS has no cross edges, so the visited neighbours
-    of a vertex entered for the first time are its ancestors, and its
-    lowpoint starts at their smallest number.
-    """
-    if mask.bit_count() < 3:
-        return False
-    root = (mask & -mask).bit_length() - 1
-    num, low = [0] * mask.bit_length(), [0] * mask.bit_length()
-    unvisited = mask ^ 1 << root
-    stack = [root]
-    count = 1
-    while stack:
-        v = stack[-1]
-        rest = adj[v] & unvisited
-        if rest:
-            if v == root and count > 1:
-                return False  # a second DFS child of the root
-            bit = rest & -rest
-            unvisited ^= bit
-            w = bit.bit_length() - 1
-            num[w] = count
-            count += 1
-            lw = num[v]
-            back = adj[w] & mask & ~unvisited
-            while back:
-                b = back & -back
-                back ^= b
-                if num[b.bit_length() - 1] < lw:
-                    lw = num[b.bit_length() - 1]
-            low[w] = lw
-            stack.append(w)
-            continue
-        stack.pop()
-        if len(stack) > 1:
-            p = stack[-1]
-            if low[v] >= num[p]:
-                return False  # p separates v's subtree from the root
-            if low[v] < low[p]:
-                low[p] = low[v]
-    return not unvisited
+    """Whether the subgraph induced on mask is 2-connected: at least 3
+    vertices, and the first block to close is the whole mask."""
+    return mask.bit_count() >= 3 and next(_blocks_on(adj, mask), 0) == mask
 
 
 def is_two_connected(g: Graph) -> bool:
@@ -402,6 +360,8 @@ class CycleWitness:
 # graph6 codec. Column-major upper triangle bits, 6 bits per printable byte,
 # offset 63, zero padding; 1-, and 4-byte vertex-count headers.
 
+_SIX_BITS = [format(code, "06b") for code in range(64)]
+
 def _encode_count(n: int) -> str:
     if n <= 62:
         return chr(63 + n)
@@ -456,33 +416,22 @@ def decode_graph6(data: str | bytes) -> Graph:
     nbits = n * (n - 1) // 2
     if len(body) != (nbits + 5) // 6:
         raise ValueError("malformed graph6: body length does not match vertex count")
+    # The bit stream reversed, so that column j (rows i < j, in order) is the
+    # binary number stream[end - j:end] with row i at bit i.
+    stream = "".join([_SIX_BITS[code] for code in body])[::-1]
+    if "1" in stream[:len(stream) - nbits]:
+        raise ValueError("malformed graph6: nonzero padding bits")
     rows = [0] * n
-    idx = 0
-    for code in body:
-        for shift in (5, 4, 3, 2, 1, 0):
-            bit = code >> shift & 1
-            if idx >= nbits:
-                if bit:
-                    raise ValueError("malformed graph6: nonzero padding bits")
-                continue
-            if bit:
-                # recover (i, j) for linear index idx in column-major order
-                j = _col_of(idx)
-                i = idx - j * (j - 1) // 2
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            idx += 1
+    end = len(stream)
+    for j in range(1, n):
+        col = int(stream[end - j:end], 2)
+        end -= j
+        rows[j] = col
+        while col:
+            low = col & -col
+            col ^= low
+            rows[low.bit_length() - 1] |= 1 << j
     return Graph(n, tuple(rows))
-
-
-def _col_of(idx: int) -> int:
-    # smallest j with j*(j+1)/2 > idx, i.e. the column of the idx-th bit
-    j = int((2 * idx) ** 0.5)
-    while j * (j - 1) // 2 > idx:
-        j -= 1
-    while (j + 1) * j // 2 <= idx:
-        j += 1
-    return j
 
 
 def export_dot(g: Graph, highlight: int = 0) -> str:

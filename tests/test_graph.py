@@ -1,5 +1,6 @@
 """Core graph container, connectivity, graph6 codec, exports."""
 
+import hashlib
 import json
 import random
 from itertools import combinations
@@ -32,6 +33,11 @@ from pathforce.graph import (
     mask_of,
 )
 from pathforce.oracle import level_certs
+
+# sha256 over f"{biconnected_components(g)} {articulation_vertices(g)}\n" for
+# the graphs of test_blocks_and_cuts_pinned, block order kept; captured from
+# the edge-stack block routine that the vertex-mask lowpoint DFS replaced.
+BLOCK_DIGEST = "d290f99033fbc4879e3ca559a7ec9c4f2866bbd9e74147c7abc7f428504fefc9"
 
 
 def random_graph(rng, n, p):
@@ -215,6 +221,31 @@ class TestConnectivity:
             got_blocks = sorted(biconnected_components(g))
             assert got_blocks == want_blocks
             assert articulation_vertices(g) == mask_of(nx.articulation_points(h))
+
+    def test_blocks_and_cuts_pinned(self):
+        rng = random.Random(405)
+        h = hashlib.sha256()
+        with_isolated = 0
+        for trial in range(800):
+            n = rng.randrange(0, 41)
+            g = random_graph(rng, n, rng.choice([0.03, 0.08, 0.15, 0.3, 0.6]))
+            with_isolated += 0 in g.adj
+            h.update(f"{biconnected_components(g)} {articulation_vertices(g)}\n".encode())
+        assert with_isolated >= 100
+        assert h.hexdigest() == BLOCK_DIGEST
+
+    def test_blocks_and_cuts_at_max_vertices(self):
+        n = 512
+        path = path_graph(n)
+        assert biconnected_components(path) == [3 << i for i in reversed(range(n - 1))]
+        assert articulation_vertices(path) == (1 << n - 1) - 2
+        cycle = cycle_graph(n)
+        assert biconnected_components(cycle) == [cycle.vertex_mask()]
+        assert articulation_vertices(cycle) == 0
+        pendant = build_graph(n, [(i, (i + 1) % (n - 1)) for i in range(n - 1)]
+                              + [(0, n - 1)])
+        assert biconnected_components(pendant) == [(1 << n - 1) - 1, 1 | 1 << n - 1]
+        assert articulation_vertices(pendant) == 1
 
 
 class TestGraph6:

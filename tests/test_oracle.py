@@ -11,7 +11,13 @@ import pytest
 import pathforce.oracle as oracle
 from pathforce.canonical import certificate_adj, certificate_bruteforce, graph_from_certificate
 from pathforce.formulas import PhiParams, phi
-from pathforce.graph import PathWitness, build_graph, decode_graph6, encode_graph6
+from pathforce.graph import (
+    BipartitionView,
+    PathWitness,
+    build_graph,
+    decode_graph6,
+    encode_graph6,
+)
 from pathforce.oracle import (
     CONSTRUCTIONS,
     ENUMERATION_MAX,
@@ -292,12 +298,13 @@ class TestRandomInstances:
         with pytest.raises(ValueError, match="t must be"):
             random_bipartite_instance(0, 3, "lemma35", t=0)
 
-    def test_hypothesis_holds_rejects_narrow_window(self):
-        # a single X vertex fails every profile's lower size bound
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_hypothesis_holds_rejects_narrow_window(self, profile):
+        # one X vertex is below the lower |X| bound of jackson, klz and
+        # essential; lemma35's window has none, and one path covers it
         g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-        from pathforce.graph import BipartitionView
         b = BipartitionView.from_x(g, [0])
-        assert not hypothesis_holds(b, 3, "jackson")
+        assert hypothesis_holds(b, 3, profile) == (profile == "lemma35")
 
 
 class TestVerificationReport:
