@@ -2,6 +2,8 @@
 
 Subcommands: phi (formula evaluation), construct (extremal graph builders),
 solve (exact searches on a graph6 input), oracle (verification suites).
+Each returns its answer, and main prints it: the fields as one key-sorted JSON
+line under --json, else the text lines.
 
 Exit codes: 0 all checks passed or a conclusive answer was produced, 1 a
 verification check failed, 2 usage or domain error, 3 inconclusive under the
@@ -45,6 +47,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+
+Answer = tuple[dict | None, list[str], int]  # fields (None: no JSON form), lines, exit code
 
 
 @functools.cache
@@ -104,35 +108,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_phi(args: argparse.Namespace) -> int:
+def _cmd_phi(args: argparse.Namespace) -> Answer:
     params = PhiParams(args.n, args.d, args.k)
     value = phi(params)
+    fields = {"n": args.n, "d": args.d, "k": args.k, "phi": value}
+    lines = [f"phi({args.n},{args.d},{args.k}) = {value}"]
     if args.conjecture:
         bound = phi_conjecture_bound(params)
-        refutes = value > bound
-    if args.json:
-        payload = {"n": args.n, "d": args.d, "k": args.k, "phi": value}
-        if args.conjecture:
-            payload["conjecture_bound"] = bound
-            payload["refutes"] = refutes
-        print(json.dumps(payload, sort_keys=True))
-        return EXIT_OK
-    print(f"phi({args.n},{args.d},{args.k}) = {value}")
-    if args.conjecture:
-        print(f"conjecture bound = {bound}")
-        if refutes:
-            print("REFUTES conjectured bound")
-    return EXIT_OK
+        fields.update(conjecture_bound=bound, refutes=value > bound)
+        lines.append(f"conjecture bound = {bound}")
+        if value > bound:
+            lines.append("REFUTES conjectured bound")
+    return fields, lines, EXIT_OK
 
 
 _FORMATS = {
-    "graph6": lambda g, high: encode_graph6(g) + "\n",
-    "dot": lambda g, high: export_dot(g, highlight=high),
-    "json": lambda g, high: export_json(g, high_degree=high) + "\n",
+    "graph6": lambda g, high: encode_graph6(g),
+    "dot": lambda g, high: export_dot(g, highlight=high).removesuffix("\n"),
+    "json": lambda g, high: export_json(g, high_degree=high),
 }
 
 
-def _cmd_construct(args: argparse.Namespace) -> int:
+def _cmd_construct(args: argparse.Namespace) -> Answer:
     kind, params = args.kind, tuple(args.params)
     spec = CONSTRUCTIONS[kind]
     if len(params) != spec.arity:
@@ -142,24 +139,20 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     pendants = [[int(tok) for tok in args.pendants.split(",")]] if args.pendants else []
     built = spec.build(*params, *pendants)
     g = built.graph if isinstance(built, BipartitionView) else built
-    print(_FORMATS[args.fmt](g, high_degree_vertices(g, params[spec.degree])), end="")
-    if not args.verify:
-        return EXIT_OK
-    failed = False
-    for name, ok, detail in spec.checks(params, built):
-        suffix = f" ({detail})" if detail else ""
-        print(f"{name}: {'ok' if ok else 'FAIL'}{suffix}")
-        failed = failed or not ok
-    return EXIT_FAIL if failed else EXIT_OK
+    lines = [_FORMATS[args.fmt](g, high_degree_vertices(g, params[spec.degree]))]
+    code = EXIT_OK
+    for name, ok, detail in spec.checks(params, built) if args.verify else ():
+        lines.append(f"{name}: {'ok' if ok else 'FAIL'}" + (f" ({detail})" if detail else ""))
+        code = code if ok else EXIT_FAIL
+    return None, lines, code
 
 
 def _read_graph(args: argparse.Namespace) -> Graph:
     if args.input:
         with open(args.input, "r", encoding="ascii") as fh:
-            data = fh.read()
+            data = fh.read().strip()
     else:
-        data = sys.stdin.read()
-    data = data.strip()
+        data = sys.stdin.read().strip()
     if not data:
         raise ValueError("empty graph input")
     return decode_graph6(data)
@@ -167,145 +160,127 @@ def _read_graph(args: argparse.Namespace) -> Graph:
 
 def _budget_from(args: argparse.Namespace) -> SearchBudget | None:
     node_limit = args.node_limit
-    if node_limit is None:
-        env = os.environ.get("PATHFORCE_NODE_LIMIT")
-        if env:
+    env = os.environ.get("PATHFORCE_NODE_LIMIT")
+    if node_limit is None and env:
+        try:
             node_limit = int(env)
+        except ValueError:
+            node_limit = 0
+        if node_limit < 1:
+            raise ValueError(f"PATHFORCE_NODE_LIMIT must be a positive integer, got {env!r}")
     if node_limit is None and args.time_limit is None:
         return None
     return SearchBudget(node_limit=node_limit, time_limit=args.time_limit)
 
 
-def _parse_x(args: argparse.Namespace) -> list[int]:
+def _bipartition(g: Graph, args: argparse.Namespace) -> BipartitionView:
     if not args.x:
         raise ValueError(f"task {args.task} requires --x")
-    return [int(tok) for tok in args.x.split(",")]
+    return BipartitionView.from_x(g, [int(tok) for tok in args.x.split(",")])
 
 
-def _print_witness(kind: str, vertices, as_json: bool, extra: dict | None = None) -> None:
-    if as_json:
-        payload = {"kind": kind, "vertices": list(vertices)}
-        if extra:
-            payload.update(extra)
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(f"WITNESS {kind} " + " ".join(str(v) for v in vertices))
+def _found(task: str, kind: str, wit) -> Answer:
+    """A witness, or NONE after exhaustive refutation."""
+    if wit is None:
+        return {"task": task, "witness": None}, ["NONE"], EXIT_OK
+    return ({"task": task, "kind": kind, "vertices": list(wit.vertices)},
+            [f"WITNESS {kind} {' '.join(map(str, wit.vertices))}"], EXIT_OK)
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _longest(task: str, kind: str, length: int, wit) -> tuple[dict, list[str]]:
+    """A length and, when there is one, its witness."""
+    lines = [f"length = {length}"]
+    if wit:
+        lines.append(f"WITNESS {kind} {' '.join(map(str, wit.vertices))}")
+    return {"task": task, "length": length,
+            "witness": list(wit.vertices) if wit else None}, lines
+
+
+def _longest_path(g: Graph, args: argparse.Namespace, budget: SearchBudget | None) -> Answer:
+    res = longest_path(g, budget)
+    fields, lines = _longest(args.task, "path", res.length, res.witness)
+    fields["optimal"] = res.optimal
+    if not res.optimal:
+        lines.append("INCONCLUSIVE (budget exhausted; length is a lower bound)")
+    return fields, lines, EXIT_OK if res.optimal else EXIT_INCONCLUSIVE
+
+
+def _contains_path(g: Graph, args: argparse.Namespace, budget: SearchBudget | None) -> Answer:
+    if args.target is None:
+        raise ValueError("contains-path requires --target")
+    return _found(args.task, "path", contains_path(g, args.target, budget))
+
+
+def _path_cover(g: Graph, args: argparse.Namespace, budget: SearchBudget | None) -> Answer:
+    cover = path_cover_of_X(_bipartition(g, args), args.t, budget,
+                            require_hypothesis=not args.force)
+    if cover is None:
+        return {"task": args.task, "paths": None}, ["NONE"], EXIT_OK
+    return ({"task": args.task, "paths": [list(p.vertices) for p in cover.paths]},
+            [f"PATH {i}: {' '.join(map(str, p.vertices))}" for i, p in enumerate(cover.paths)],
+            EXIT_OK)
+
+
+def _merge(g: Graph, args: argparse.Namespace, budget: SearchBudget | None) -> Answer:
+    if args.d is None or not args.family:
+        raise ValueError("merge requires --d and --family")
+    family = PathCover(tuple(PathWitness(tuple(int(tok) for tok in chunk.split(",")))
+                             for chunk in args.family.split(";")))
+    return _found(args.task, "path", merge_high_end_paths(g, args.d, family, budget))
+
+
+_TASKS = {
+    "longest-path": _longest_path,
+    "longest-cycle": lambda g, args, budget: (
+        *_longest(args.task, "cycle", *longest_cycle(g, budget)), EXIT_OK),
+    "contains-path": _contains_path,
+    "cycle-through-x": lambda g, args, budget: _found(
+        args.task, "cycle", find_cycle_through_X(_bipartition(g, args), budget)),
+    "path-cover": _path_cover,
+    "merge": _merge,
+}
+
+
+def _cmd_solve(args: argparse.Namespace) -> Answer:
     g = _read_graph(args)
     budget = _budget_from(args)
-    task = args.task
     try:
-        if task == "longest-path":
-            res = longest_path(g, budget)
-            if args.json:
-                payload = {"task": task, "length": res.length, "optimal": res.optimal,
-                           "witness": list(res.witness.vertices) if res.witness else None}
-                print(json.dumps(payload, sort_keys=True))
-            else:
-                print(f"length = {res.length}")
-                if res.witness:
-                    _print_witness("path", res.witness.vertices, False)
-            if not res.optimal:
-                if not args.json:
-                    print("INCONCLUSIVE (budget exhausted; length is a lower bound)")
-                return EXIT_INCONCLUSIVE
-            return EXIT_OK
-        if task == "longest-cycle":
-            length, wit = longest_cycle(g, budget)
-            if args.json:
-                payload = {"task": task, "length": length,
-                           "witness": list(wit.vertices) if wit else None}
-                print(json.dumps(payload, sort_keys=True))
-            else:
-                print(f"length = {length}")
-                if wit:
-                    _print_witness("cycle", wit.vertices, False)
-            return EXIT_OK
-        if task == "contains-path":
-            if args.target is None:
-                raise ValueError("contains-path requires --target")
-            wit = contains_path(g, args.target, budget)
-            if wit is None:
-                print(json.dumps({"task": task, "witness": None}, sort_keys=True)
-                      if args.json else "NONE")
-            else:
-                _print_witness("path", wit.vertices, args.json, {"task": task})
-            return EXIT_OK
-        if task == "cycle-through-x":
-            b = BipartitionView.from_x(g, _parse_x(args))
-            wit = find_cycle_through_X(b, budget)
-            if wit is None:
-                print(json.dumps({"task": task, "witness": None}, sort_keys=True)
-                      if args.json else "NONE")
-            else:
-                _print_witness("cycle", wit.vertices, args.json, {"task": task})
-            return EXIT_OK
-        if task == "path-cover":
-            b = BipartitionView.from_x(g, _parse_x(args))
-            cover = path_cover_of_X(b, args.t, budget,
-                                    require_hypothesis=not args.force)
-            if cover is None:
-                print(json.dumps({"task": task, "paths": None}, sort_keys=True)
-                      if args.json else "NONE")
-                return EXIT_OK
-            if args.json:
-                payload = {"task": task,
-                           "paths": [list(p.vertices) for p in cover.paths]}
-                print(json.dumps(payload, sort_keys=True))
-            else:
-                for i, p in enumerate(cover.paths):
-                    print(f"PATH {i}: " + " ".join(str(v) for v in p.vertices))
-            return EXIT_OK
-        # merge
-        if args.d is None or not args.family:
-            raise ValueError("merge requires --d and --family")
-        paths = []
-        for chunk in args.family.split(";"):
-            paths.append(PathWitness(tuple(int(tok) for tok in chunk.split(","))))
-        wit = merge_high_end_paths(g, args.d, PathCover(tuple(paths)), budget)
-        _print_witness("path", wit.vertices, args.json, {"task": task})
-        return EXIT_OK
+        return _TASKS[args.task](g, args, budget)
     except SearchBudgetExceeded as exc:
-        print(f"INCONCLUSIVE ({exc})")
-        return EXIT_INCONCLUSIVE
-    except LemmaViolationError as exc:
-        print(f"LEMMA VIOLATION: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        # plain text even under --json: bench/checks.py reads this line on exit 3
+        return None, [f"INCONCLUSIVE ({exc})"], EXIT_INCONCLUSIVE
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args: argparse.Namespace) -> Answer:
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
         raise ValueError(f"--jobs must be between 1 and {cpus}, got {args.jobs}")
     report = run_suite(args.suite, seed=args.seed, trials=args.trials,
                        max_n=args.max_n, jobs=args.jobs)
-    if args.json:
-        print(report.to_json(include_runtime=args.timings))
-    else:
-        counts = " ".join(f"{key}={value}" for key, value in sorted(report.counts.items()))
-        print(f"suite {args.suite}: {report.outcome} ({counts})")
-        if report.witness:
-            print(f"witness: {report.witness}")
-    if report.outcome == "pass":
-        return EXIT_OK
-    if report.outcome == "inconclusive":
-        return EXIT_INCONCLUSIVE
-    return EXIT_FAIL
+    counts = " ".join(f"{key}={value}" for key, value in sorted(report.counts.items()))
+    lines = [f"suite {args.suite}: {report.outcome} ({counts})"]
+    if report.witness:
+        lines.append(f"witness: {report.witness}")
+    code = {"pass": EXIT_OK, "fail": EXIT_FAIL, "inconclusive": EXIT_INCONCLUSIVE}[report.outcome]
+    return report.payload(args.timings), lines, code
+
+
+_COMMANDS = {"phi": _cmd_phi, "construct": _cmd_construct,
+             "solve": _cmd_solve, "oracle": _cmd_oracle}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "phi":
-            return _cmd_phi(args)
-        if args.command == "construct":
-            return _cmd_construct(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        return _cmd_oracle(args)
+        fields, lines, code = _COMMANDS[args.command](args)
+        if fields is not None and args.json:
+            print(json.dumps(fields, sort_keys=True))
+        else:
+            print("\n".join(lines))
+        return code
+    except LemmaViolationError as exc:
+        print(f"LEMMA VIOLATION: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -434,9 +434,9 @@ class VerificationReport:
     witness: str | None = None
     runtime: float | None = None
 
-    def to_json(self, include_runtime: bool = False) -> str:
+    def payload(self, include_runtime: bool = False) -> dict:
         # runtime omitted by default so identical runs serialize identically
-        payload = {
+        return {
             "claim": self.claim,
             "params": self.params,
             "outcome": self.outcome,
@@ -445,7 +445,9 @@ class VerificationReport:
             "witness": self.witness,
             "runtime": self.runtime if include_runtime else None,
         }
-        return json.dumps(payload, sort_keys=True)
+
+    def to_json(self, include_runtime: bool = False) -> str:
+        return json.dumps(self.payload(include_runtime), sort_keys=True)
 
 
 def _map_cells(fn, cells: list, jobs: int) -> list:

@@ -579,9 +579,11 @@ def path_cover_of_X(b: BipartitionView, t: int,
     """At most t+1 disjoint paths jointly containing X.
 
     Hypothesis (guaranteeing existence): |X| <= d+t and |Y| <= 3d+2t-3 with d
-    the minimum X-degree. Isolated Y-vertices are deleted, t apex vertices
-    joined to all of X are added, a single path through X is found there, and
-    removing the apexes splits it into the cover.
+    the minimum X-degree. Isolated Y-vertices are deleted and t+1 apexes
+    joined to all of X are added, which puts the graph in the essential window
+    (connected, |X| <= d+t = min X-degree, |Y| <= 3(d+t)-3). A cycle through X
+    there, read from just after the last apex and split at the others, is the
+    cover.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -596,37 +598,34 @@ def path_cover_of_X(b: BipartitionView, t: int,
         raise HypothesisViolation(
             f"path cover hypothesis violated: |X|={nx} vs d+t={d + t}, "
             f"|Y|={ny} vs 3d+2t-3={3 * d + 2 * t - 3}")
-    iso = 0
-    for y in bits(b.y_mask):
-        if not g.adj[y]:
-            iso |= 1 << y
+    if nx == 1:
+        return PathCover((PathWitness((b.x_mask.bit_length() - 1,)),))
+    iso = mask_of(y for y in bits(b.y_mask) if not g.adj[y])
     sub, ids = induced_subgraph(g, g.vertex_mask() & ~iso)
     x_local = mask_of(i for i, orig in enumerate(ids) if b.x_mask >> orig & 1)
-    apexes = ((1 << t) - 1) << sub.n
-    aug = Graph(sub.n + t, tuple(row | apexes if x_local >> v & 1 else row
-                                 for v, row in enumerate(sub.adj)) + (x_local,) * t)
-    y_local = aug.vertex_mask() & ~x_local
-    baug = BipartitionView(aug, x_local, y_local)
-    inner = find_path_through_X(baug, "essential", budget, require_hypothesis=ok)
-    if inner is None:
+    apexes = ((1 << t + 1) - 1) << sub.n
+    aug = Graph(sub.n + t + 1, tuple(row | apexes if x_local >> v & 1 else row
+                                     for v, row in enumerate(sub.adj)) + (x_local,) * (t + 1))
+    cyc = find_cycle_through_X(BipartitionView(aug, x_local, aug.vertex_mask() & ~x_local), budget)
+    if cyc is None:
+        if ok:
+            raise LemmaViolationError(
+                "essential path guarantee failed on a hypothesis-satisfying "
+                "instance (exhaustive search)")
         return None
-    segments: list[list[int]] = [[]]
-    for v in inner.vertices:
-        if v >= sub.n:
-            if segments[-1]:
-                segments.append([])
-        else:
-            segments[-1].append(ids[v])
-    if not segments[-1]:
-        segments.pop()
-    paths = []
-    for seg in segments:
-        # trim to X end-vertices; every segment contains an X-vertex
-        while not b.x_mask >> seg[0] & 1:
-            seg.pop(0)
-        while not b.x_mask >> seg[-1] & 1:
-            seg.pop()
-        paths.append(PathWitness(tuple(seg)))
+    verts = list(cyc.vertices)
+    if sub.n + t in verts:
+        i = verts.index(sub.n + t)
+        verts = verts[i + 1:] + verts[:i]
+    paths, seg = [], []
+    for v in verts + [sub.n]:  # an apex at the end closes the last segment
+        if v < sub.n:
+            seg.append(ids[v])
+        elif seg:
+            # trim to X end-vertices; every segment contains an X-vertex
+            ends = [i for i, u in enumerate(seg) if b.x_mask >> u & 1]
+            paths.append(PathWitness(tuple(seg[ends[0]:ends[-1] + 1])))
+            seg = []
     cover = PathCover(tuple(paths))
     cover.validate(g, required=b.x_mask)
     assert len(cover.paths) <= t + 1

@@ -239,6 +239,14 @@ class TestSolveCommand:
         code, out, _ = run_cli(capsys, ["solve", "contains-path", "--target", "16"])
         assert code == 3
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+    def test_node_limit_env_var_rejected(self, capsys, monkeypatch, value):
+        self.feed(monkeypatch, "EhEG")
+        monkeypatch.setenv("PATHFORCE_NODE_LIMIT", value)
+        code, out, err = run_cli(capsys, ["solve", "longest-path"])
+        assert (code, out) == (2, "")
+        assert err == f"error: PATHFORCE_NODE_LIMIT must be a positive integer, got '{value}'\n"
+
     def test_empty_input_exits_two(self, capsys, monkeypatch):
         self.feed(monkeypatch, "")
         code, _, err = run_cli(capsys, ["solve", "longest-path"])

@@ -1,12 +1,17 @@
 """Golden outputs: literal stdout and exit codes of `construct --verify` and
-`oracle --json`, including the failure and inconclusive paths of the suites.
+`oracle --json`, including the failure and inconclusive paths of the suites,
+and literal stdout, stderr and exit codes of every `phi` and `solve` answer.
 
 Every string here was captured from the command line and must not change:
 the README promises byte-identical output for identical invocations.
 """
 
+import io
+import sys
+
 import pytest
 
+import pathforce.cli as cli
 import pathforce.oracle as oracle
 from pathforce.cli import main
 from pathforce.graph import PathWitness
@@ -177,3 +182,118 @@ class TestFailurePaths:
         assert run(capsys, "oracle theta-psi --json") == (1, report(
             THETA_PSI, '{"checks": 19, "failures": 3}', "fail",
             f'{{"failed_checks": [{failed}]}}'))
+
+
+PHI = [
+    ("40 4 4 --conjecture",
+     "phi(40,4,4) = 11\nconjecture bound = 10\nREFUTES conjectured bound\n"),
+    ("40 4 4 --conjecture --json",
+     '{"conjecture_bound": 10, "d": 4, "k": 4, "n": 40, "phi": 11, "refutes": true}\n'),
+    ("12 5 5 --conjecture", "phi(12,5,5) = 5\nconjecture bound = 5\n"),
+    ("12 5 5 --conjecture --json",
+     '{"conjecture_bound": 5, "d": 5, "k": 5, "n": 12, "phi": 5, "refutes": false}\n'),
+]
+
+
+@pytest.mark.parametrize("argv,out", PHI, ids=[c[0] for c in PHI])
+def test_phi(capsys, argv, out):
+    assert main(f"phi {argv}".split()) == 0
+    assert capsys.readouterr() == (out, "")
+
+
+C6 = "EhEG"              # the 6-cycle 0-1-2-3-4-5-0
+STAR = "Cs"              # K_{1,3} centred at 0
+EMPTY3 = "B?"            # three isolated vertices
+C4 = "Cl"                # the 4-cycle 0-1-2-3-0
+P4 = "Ch"                # the path 0-1-2-3
+P5 = "DhC"               # the path 0-1-2-3-4
+K44 = "G?~vf_"           # K_{4,4} with sides 0..3 and 4..7
+TWO_STARS = "GS`AA?"     # 0 ~ 2,3,4 and 1 ~ 5,6,7
+K5 = "D~{"
+DENSE16 = "ObmvJOikeWhjtQXBwAeUG"  # G(16, 1/2), seed 1
+BUDGET = "INCONCLUSIVE (node limit {} exhausted)\n"
+
+SOLVE = [
+    # README's example: echo 'EhEG' | pathforce solve longest-path
+    ("longest-path", C6, 0, "length = 6\nWITNESS path 0 1 2 3 4 5\n", ""),
+    ("longest-path --json", C6, 0,
+     '{"length": 6, "optimal": true, "task": "longest-path", "witness": [0, 1, 2, 3, 4, 5]}\n', ""),
+    ("longest-path", STAR, 0, "length = 3\nWITNESS path 1 0 2\n", ""),
+    ("longest-path --json", EMPTY3, 0,
+     '{"length": 1, "optimal": true, "task": "longest-path", "witness": [0]}\n', ""),
+    # the lower bound of a budget-limited search
+    ("longest-path --node-limit 3", DENSE16, 3,
+     "length = 2\nWITNESS path 0 1\n"
+     "INCONCLUSIVE (budget exhausted; length is a lower bound)\n", ""),
+    ("longest-path --node-limit 3 --json", DENSE16, 3,
+     '{"length": 2, "optimal": false, "task": "longest-path", "witness": [0, 1]}\n', ""),
+    ("longest-cycle", C6, 0, "length = 6\nWITNESS cycle 0 1 2 3 4 5\n", ""),
+    ("longest-cycle --json", C6, 0,
+     '{"length": 6, "task": "longest-cycle", "witness": [0, 1, 2, 3, 4, 5]}\n', ""),
+    ("longest-cycle", STAR, 0, "length = 0\n", ""),
+    ("longest-cycle --json", STAR, 0,
+     '{"length": 0, "task": "longest-cycle", "witness": null}\n', ""),
+    ("contains-path --target 4", C6, 0, "WITNESS path 0 1 2 3\n", ""),
+    ("contains-path --target 4 --json", C6, 0,
+     '{"kind": "path", "task": "contains-path", "vertices": [0, 1, 2, 3]}\n', ""),
+    ("contains-path --target 2", EMPTY3, 0, "NONE\n", ""),
+    ("contains-path --target 2 --json", EMPTY3, 0,
+     '{"task": "contains-path", "witness": null}\n', ""),
+    ("cycle-through-x --x 0,2", C4, 0, "WITNESS cycle 0 1 2 3\n", ""),
+    ("cycle-through-x --x 0,2 --json", C4, 0,
+     '{"kind": "cycle", "task": "cycle-through-x", "vertices": [0, 1, 2, 3]}\n', ""),
+    ("cycle-through-x --x 0,2", P4, 0, "NONE\n", ""),
+    ("cycle-through-x --x 0,2 --json", P4, 0,
+     '{"task": "cycle-through-x", "witness": null}\n', ""),
+    ("path-cover --x 0,1 --t 1", TWO_STARS, 0, "PATH 0: 0\nPATH 1: 1\n", ""),
+    ("path-cover --x 0,2,4 --t 2", P5, 0, "PATH 0: 0\nPATH 1: 4 3 2\n", ""),
+    ("path-cover --x 0,2,4 --t 2 --json", P5, 0,
+     '{"paths": [[0], [4, 3, 2]], "task": "path-cover"}\n', ""),
+    ("path-cover --x 0,1,2,3 --t 1", K44, 0, "PATH 0: 0 4 1 5 2 6 3\n", ""),
+    ("path-cover --x 0,1,2 --t 1 --force", EMPTY3, 0, "NONE\n", ""),
+    ("path-cover --x 0,1,2 --t 1 --force --json", EMPTY3, 0,
+     '{"paths": null, "task": "path-cover"}\n', ""),
+    ("merge --d 4 --family 0,1;2,3", K5, 0, "WITNESS path 0 1 2 3\n", ""),
+    ("merge --d 4 --family 0,1;2,3 --json", K5, 0,
+     '{"kind": "path", "task": "merge", "vertices": [0, 1, 2, 3]}\n', ""),
+    # An exhausted budget prints plain text even under --json. This is a known
+    # defect; bench/checks.py requires the text on exit 3 until the benchmark
+    # changes with it.
+    *[(f"{argv}{flag}", graph, 3, BUDGET.format(limit), "")
+      for argv, graph, limit in [
+          ("longest-cycle --node-limit 3", DENSE16, 3),
+          ("contains-path --target 16 --node-limit 3", DENSE16, 3),
+          ("cycle-through-x --x 0,1,2,3 --node-limit 2", K44, 2),
+          ("path-cover --x 0,1,2,3 --t 1 --node-limit 1", K44, 1),
+          ("merge --d 4 --family 0,1;2,3 --node-limit 1", K5, 1)]
+      for flag in ("", " --json")],
+    *[(f"{argv}{flag}", graph, 2, "", f"error: {message}\n")
+      for argv, graph, message in [
+          ("contains-path", C6, "contains-path requires --target"),
+          ("cycle-through-x", C6, "task cycle-through-x requires --x"),
+          ("path-cover --t 1", TWO_STARS, "task path-cover requires --x"),
+          ("path-cover --x 0,1,2 --t 1", EMPTY3,
+           "path cover hypothesis violated: |X|=3 vs d+t=1, |Y|=0 vs 3d+2t-3=-1"),
+          ("merge --d 4", K5, "merge requires --d and --family")]
+      for flag in ("", " --json")],
+]
+
+
+def solve(capsys, monkeypatch, argv, graph):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(graph + "\n"))
+    code = main(f"solve {argv}".split())
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv,graph,code,out,err", SOLVE, ids=[c[0] for c in SOLVE])
+def test_solve(capsys, monkeypatch, argv, graph, code, out, err):
+    assert solve(capsys, monkeypatch, argv, graph) == (code, out, err)
+
+
+@pytest.mark.parametrize("flag", ["", " --json"])
+def test_solve_lemma_violation(capsys, monkeypatch, flag):
+    def merge(*args):
+        raise LemmaViolationError("no merge")
+    monkeypatch.setattr(cli, "merge_high_end_paths", merge)
+    assert solve(capsys, monkeypatch, f"merge --d 4 --family 0,1;2,3{flag}", K5) == \
+        (1, "", "LEMMA VIOLATION: no merge\n")
