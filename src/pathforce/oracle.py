@@ -106,7 +106,7 @@ def derive_seed(seed: int, *indices: int) -> int:
 # enumeration
 
 _LEVELS: dict[int, tuple[int, ...]] = {1: (0,)}
-_STATS: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+_STATS: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}
 
 
 def _top_vertices(rows: tuple[int, ...] | list[int]) -> list[int]:
@@ -136,15 +136,23 @@ def _add_orbit(nb: int, gens: list[tuple[int, ...]], seen: set[int]) -> None:
                 stack.append(t)
 
 
-def _child_certs(args: tuple[int, int]) -> set[int]:
-    """Certificates of the classes whose canonical deletion gives this parent."""
-    n_prev, cert = args
-    adj = graph_from_certificate(n_prev, cert).adj
+def _child_certs(args: tuple[int, int] | tuple[int, int, bool]) -> set[int]:
+    """Certificates of the classes whose canonical deletion gives this parent.
+
+    With a third item true, only the classes with no path on all n vertices.
+    """
+    n_prev, cert, *rest = args
+    untraceable = any(rest)
+    parent = graph_from_certificate(n_prev, cert)
+    adj = parent.adj
     gens = automorphism_generators(n_prev, adj)
     n, new_bit = n_prev + 1, 1 << n_prev
     deg = [a.bit_count() for a in adj]
     top = max(deg)
     top_mask = mask_of(v for v in range(n_prev) if deg[v] == top)
+    if untraceable:
+        path = contains_path(parent, n_prev)
+        ends = 0 if path is None else 1 << path.vertices[0] | 1 << path.vertices[-1]
     out: set[int] = set()
     seen: set[int] = set()
     for nb in range(1 << n_prev):
@@ -158,6 +166,8 @@ def _child_certs(args: tuple[int, int]) -> set[int]:
         ties = _top_vertices(rows)
         if ties[-1] != n_prev:
             continue  # the new vertex, the highest label, is not among the maxima
+        if untraceable and (nb & ends or contains_path(Graph(n, tuple(rows)), n) is not None):
+            continue  # traceable: the parent's path through the new vertex, or one found
         c, child_gens, order = canonical_labeling(n, rows)
         if c in out:
             continue
@@ -220,22 +230,28 @@ def enumerate_graphs(n: int, jobs: int = 1):
         yield graph_from_certificate(n, cert)
 
 
-def _class_stats_cell(args: tuple[int, int]) -> tuple[int, tuple[int, ...]]:
+def _class_stats_cell(args: tuple[int, int]) -> tuple[int, int, tuple[int, ...]]:
     n, cert = args
     g = graph_from_certificate(n, cert)
-    # search downward from n: most classes are traceable, and a path on L
-    # vertices holds paths of every shorter length, so the first hit is L
-    length = n
+    # the class has no path on n vertices, and a path on L vertices holds
+    # paths of every shorter length, so the first hit searching down is L
+    length = n - 1
     while contains_path(g, length) is None:
         length -= 1
-    return length, g.degree_sequence()
+    return cert, length, g.degree_sequence()
 
 
-def _graph_stats(n: int, jobs: int = 1) -> list[tuple[int, tuple[int, ...]]]:
-    """(longest-path length, degree sequence) per isomorphism class."""
+def _graph_stats(n: int, jobs: int = 1) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(certificate, longest-path length, degree sequence) per non-traceable class.
+
+    Non-traceable: no path on all n vertices. Grown from the full level n - 1
+    through non-traceable children only; level_certs keeps a child by its class
+    alone, so this drops exactly the traceable classes. Sorted by certificate.
+    """
     if n in _STATS:
         return _STATS[n]
-    certs = level_certs(n, jobs)
+    parts = _map_cells(_child_certs, [(n - 1, c, True) for c in level_certs(n - 1, jobs)], jobs)
+    certs = sorted(c for part in parts for c in part)
     stats = _map_cells(_class_stats_cell, [(n, c) for c in certs], jobs)
     _STATS[n] = stats
     return stats
@@ -245,7 +261,8 @@ def phi_bruteforce(n: int, d: int, k: int, max_n: int = BRUTEFORCE_DEFAULT_MAX) 
     """Threshold recomputed from first principles over the enumeration.
 
     One more than the maximum number of degree->=d vertices over all n-vertex
-    graphs whose longest path has at most k vertices.
+    graphs whose longest path has at most k vertices. Since k < n, only the
+    non-traceable classes of _graph_stats can count.
     """
     if max_n > ENUMERATION_MAX:
         raise ValueError(f"brute force limited to n <= {ENUMERATION_MAX}")
@@ -254,7 +271,7 @@ def phi_bruteforce(n: int, d: int, k: int, max_n: int = BRUTEFORCE_DEFAULT_MAX) 
     if n > max_n:
         raise ValueError(f"n={n} out of brute-force range (max {max_n})")
     best = 0
-    for length, degs in _graph_stats(n):
+    for _, length, degs in _graph_stats(n):
         if length <= k:
             count = sum(1 for x in degs if x >= d)
             if count > best:
@@ -622,10 +639,10 @@ def _suite_formula_vs_oracle(seed: int, max_n: int | None, jobs: int) -> Verific
 
 
 def _extremal_witness(n: int, d: int, k: int) -> str:
-    """graph6 of the first enumerated graph attaining the brute-force maximum."""
-    _, i = max((sum(1 for x in degs if x >= d), -i)
-               for i, (length, degs) in enumerate(_graph_stats(n)) if length <= k)
-    return encode_graph6(graph_from_certificate(n, level_certs(n)[-i]))
+    """graph6 of the smallest-certificate graph attaining the brute-force maximum."""
+    _, cert = max((sum(1 for x in degs if x >= d), -cert)
+                  for cert, length, degs in _graph_stats(n) if length <= k)
+    return encode_graph6(graph_from_certificate(n, -cert))
 
 
 def _construction_cell(params: tuple[int, int, int]) -> str | None:

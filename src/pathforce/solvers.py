@@ -41,6 +41,7 @@ from .canonical import certificate_adj
 from .graph import (
     BipartitionView,
     CycleWitness,
+    MAX_VERTICES,
     Graph,
     PathWitness,
     biconnected_components,
@@ -602,6 +603,8 @@ def path_cover_of_X(b: BipartitionView, t: int,
         return PathCover((PathWitness((b.x_mask.bit_length() - 1,)),))
     iso = mask_of(y for y in bits(b.y_mask) if not g.adj[y])
     sub, ids = induced_subgraph(g, g.vertex_mask() & ~iso)
+    if sub.n + t + 1 > MAX_VERTICES:
+        raise ValueError(f"t={t} too large: the largest allowed t is {MAX_VERTICES - 1 - sub.n}")
     x_local = mask_of(i for i, orig in enumerate(ids) if b.x_mask >> orig & 1)
     apexes = ((1 << t + 1) - 1) << sub.n
     aug = Graph(sub.n + t + 1, tuple(row | apexes if x_local >> v & 1 else row

@@ -189,6 +189,18 @@ class TestSolveCommand:
         assert code == 0
         assert "PATH 0:" in out and "PATH 1:" in out
 
+    def test_path_cover_t_past_vertex_limit_exits_two(self, capsys, monkeypatch):
+        # t+1 apexes join the 8 vertices: t = 503 reaches MAX_VERTICES = 512
+        g = build_graph(8, [(0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7)])
+        self.feed(monkeypatch, encode_graph6(g))
+        code, _, err = run_cli(capsys, ["solve", "path-cover", "--x", "0,1", "--t", "600"])
+        assert code == 2
+        assert "t=600 too large: the largest allowed t is 503" in err
+        self.feed(monkeypatch, encode_graph6(g))
+        code, out, _ = run_cli(capsys, ["solve", "path-cover", "--x", "0,1", "--t", "503"])
+        assert code == 0
+        assert "PATH 1:" in out
+
     def test_path_cover_hypothesis_violation_exits_two(self, capsys, monkeypatch):
         # four degree-1 X-vertices on one hub: |X| = 4 > d + t = 2
         g = build_graph(5, [(i, 4) for i in range(4)])

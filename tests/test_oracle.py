@@ -37,8 +37,8 @@ from pathforce.solvers import LemmaViolationError, longest_path
 KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346, 9: 274668}
 
 # sha256 of ",".join(map(str, level_certs(n))), captured from the global-set
-# enumeration that grew every parent by every neighbourhood; _extremal_witness
-# and enumerate_graphs depend on this order and content.
+# enumeration that grew every parent by every neighbourhood; enumerate_graphs
+# depends on this order and content.
 LEVEL_DIGESTS = {
     1: "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
     2: "83b97b859aa5f81b2f0f86ba2a675efaf515ad2d5e2b8652cf2de7e1c2267350",
@@ -195,13 +195,32 @@ class TestEnumeration:
             "b7a11d0d7400e03c292586e5caec10f7d06c35043d5989d6852ec00e999c9fd8"
 
 
+# traceable graphs on n unlabeled vertices (OEIS A057864); the other classes
+# of KNOWN_CLASS_COUNTS (A000088) are the non-traceable ones
+TRACEABLE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 5, 5: 18, 6: 91, 7: 734, 8: 10030}
+
+
 class TestClassStats:
-    def test_lengths_match_longest_path(self):
+    def test_non_traceable_classes_to_seven(self):
         for n in range(2, 8):
-            stats = oracle._graph_stats(n)
-            for (length, degs), g in zip(stats, enumerate_graphs(n)):
-                assert length == longest_path(g).length
-                assert degs == g.degree_sequence()
+            want = []
+            for cert in level_certs(n):
+                g = graph_from_certificate(n, cert)
+                length = longest_path(g).length
+                if length < n:
+                    want.append((cert, length, g.degree_sequence()))
+            assert oracle._graph_stats(n) == want
+
+    def test_counts_to_eight(self):
+        for n in range(2, 9):
+            certs = [cert for cert, _, _ in oracle._graph_stats(n)]
+            assert len(certs) == KNOWN_CLASS_COUNTS[n] - TRACEABLE_COUNTS[n]
+            assert set(certs) <= set(level_certs(n))
+
+    def test_parallel_matches_serial(self, monkeypatch):
+        serial = oracle._graph_stats(7)
+        monkeypatch.setattr(oracle, "_STATS", {})
+        assert oracle._graph_stats(7, jobs=2) == serial
 
 
 class TestPhiBruteforce:
@@ -348,6 +367,18 @@ class TestRunSuite:
         # the only 5-vertex graph with a degree-4 vertex and no 4-vertex path
         g = decode_graph6(report.witness)
         assert sorted(g.degree_sequence()) == [1, 1, 1, 1, 4]
+
+    def test_formula_mismatch_witness_at_eight(self, monkeypatch):
+        # fifteen classes on 8 vertices attain the maximum at (8, 5, 5); the
+        # witness is the one with the smallest certificate
+        real = oracle.phi
+        monkeypatch.setattr(oracle, "phi",
+                            lambda p: real(p) + ((p.n, p.d, p.k) == (8, 5, 5)))
+        report = run_suite("formula-vs-oracle", max_n=8)
+        assert report.counts["mismatches"] == 1
+        assert report.params["first_mismatch"] == {
+            "n": 8, "d": 5, "k": 5, "bruteforce": 3, "formula": 4}
+        assert report.witness == "G??@x{"
 
     def test_formula_suite_range_check(self):
         with pytest.raises(ValueError, match="max-n out of range"):
