@@ -136,28 +136,59 @@ def _add_orbit(nb: int, gens: list[tuple[int, ...]], seen: set[int]) -> None:
                 stack.append(t)
 
 
+def _split_ends(adj: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(ends, pairs): where a new vertex w must attach for P + w to be traceable.
+
+    A Held-Karp subset table (Bellman 1962; Held & Karp 1962): reach[S] holds
+    the ends of the Hamiltonian paths of P[S]; v is one iff S = {v} or v has
+    a neighbour in reach[S - v]. A Hamiltonian path of P + w ends in w, leaving
+    one of P that ends next to w, or passes through w, leaving two that cover
+    S and V - S, each with an end next to w. So, exactly, N(w) meets
+    ends = reach[V] or holds a pair {a, b} with a in reach[S] and b in
+    reach[V - S]; pairs that ends already covers are left out.
+    """
+    full = (1 << len(adj)) - 1
+    reach = [0] * (full + 1)
+    for s in range(1, full + 1):
+        r, todo = 0, s
+        while todo:
+            low = todo & -todo
+            if s == low or adj[low.bit_length() - 1] & reach[s ^ low]:
+                r |= low
+            todo ^= low
+        reach[s] = r
+    ends = reach[full]
+    pairs = {1 << a | 1 << b for s in range(1, full, 2)  # odd s: each split once
+             for a in bits(reach[s] & ~ends) for b in bits(reach[full ^ s] & ~ends)}
+    return ends, tuple(pairs)
+
+
 def _child_certs(args: tuple[int, int] | tuple[int, int, bool]) -> set[int]:
     """Certificates of the classes whose canonical deletion gives this parent.
 
-    With a third item true, only the classes with no path on all n vertices.
+    With a third item true, only the classes with no path on all n vertices:
+    the parent's subset table (_split_ends) rejects, with no path search, a
+    new vertex that ends such a path or joins two paths that cover the parent.
+    This runs before the orbit step: an automorphism of P extends to an
+    isomorphism of the two children fixing the new vertex, so a rejected
+    neighbourhood's orbit is rejected member by member, with none marked.
     """
     n_prev, cert, *rest = args
     untraceable = any(rest)
-    parent = graph_from_certificate(n_prev, cert)
-    adj = parent.adj
+    adj = graph_from_certificate(n_prev, cert).adj
     gens = automorphism_generators(n_prev, adj)
     n, new_bit = n_prev + 1, 1 << n_prev
     deg = [a.bit_count() for a in adj]
     top = max(deg)
     top_mask = mask_of(v for v in range(n_prev) if deg[v] == top)
-    if untraceable:
-        path = contains_path(parent, n_prev)
-        ends = 0 if path is None else 1 << path.vertices[0] | 1 << path.vertices[-1]
+    ends, pairs = _split_ends(adj) if untraceable else (0, ())
     out: set[int] = set()
     seen: set[int] = set()
     for nb in range(1 << n_prev):
         if nb.bit_count() < top + bool(nb & top_mask):
             continue  # the new vertex's degree is not the maximum
+        if untraceable and (nb & ends or any(nb & p == p for p in pairs)):
+            continue  # traceable: the new vertex ends or joins a Hamiltonian path
         if gens:
             if nb in seen:
                 continue  # an automorphic image of a neighbourhood already tried
@@ -166,8 +197,6 @@ def _child_certs(args: tuple[int, int] | tuple[int, int, bool]) -> set[int]:
         ties = _top_vertices(rows)
         if ties[-1] != n_prev:
             continue  # the new vertex, the highest label, is not among the maxima
-        if untraceable and (nb & ends or contains_path(Graph(n, tuple(rows)), n) is not None):
-            continue  # traceable: the parent's path through the new vertex, or one found
         c, child_gens, order = canonical_labeling(n, rows)
         if c in out:
             continue
@@ -245,8 +274,9 @@ def _graph_stats(n: int, jobs: int = 1) -> list[tuple[int, int, tuple[int, ...]]
     """(certificate, longest-path length, degree sequence) per non-traceable class.
 
     Non-traceable: no path on all n vertices. Grown from the full level n - 1
-    through non-traceable children only; level_certs keeps a child by its class
-    alone, so this drops exactly the traceable classes. Sorted by certificate.
+    through non-traceable children only, each decided by its parent's subset
+    table with no path search; level_certs keeps a child by its class alone,
+    so this drops exactly the traceable classes. Sorted by certificate.
     """
     if n in _STATS:
         return _STATS[n]

@@ -13,6 +13,7 @@ from pathforce.canonical import certificate_adj, certificate_bruteforce, graph_f
 from pathforce.formulas import PhiParams, phi
 from pathforce.graph import (
     BipartitionView,
+    Graph,
     PathWitness,
     build_graph,
     decode_graph6,
@@ -32,7 +33,7 @@ from pathforce.oracle import (
     random_bipartite_instance,
     run_suite,
 )
-from pathforce.solvers import LemmaViolationError, longest_path
+from pathforce.solvers import LemmaViolationError, contains_path, longest_path
 
 KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346, 9: 274668}
 
@@ -200,6 +201,45 @@ class TestEnumeration:
 TRACEABLE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 5, 5: 18, 6: 91, 7: 734, 8: 10030}
 
 
+def table_says_traceable(adj, nb):
+    ends, pairs = oracle._split_ends(adj)
+    return bool(nb & ends or any(nb & p == p for p in pairs))
+
+
+def grown(adj, nb):
+    n_prev = len(adj)
+    rows = [a | (nb >> v & 1) << n_prev for v, a in enumerate(adj)] + [nb]
+    return Graph(n_prev + 1, tuple(rows))
+
+
+class TestSplitEnds:
+    def test_matches_path_search_to_six(self):
+        for n_prev in range(1, 7):
+            for cert in level_certs(n_prev):
+                adj = graph_from_certificate(n_prev, cert).adj
+                for nb in range(1 << n_prev):
+                    found = contains_path(grown(adj, nb), n_prev + 1) is not None
+                    assert table_says_traceable(adj, nb) == found, (n_prev, cert, nb)
+
+    def test_new_vertex_joins_two_paths(self):
+        # 2K2 has no Hamiltonian path; w on 1 and 2 gives 0-1-w-2-3
+        adj = build_graph(4, [(0, 1), (2, 3)]).adj
+        ends, pairs = oracle._split_ends(adj)
+        assert ends == 0 and 0b0110 in pairs
+        assert table_says_traceable(adj, 0b0110)
+        path = contains_path(grown(adj, 0b0110), 5).vertices
+        assert 4 in path[1:-1]
+
+    def test_traceable_parent_untraceable_child(self):
+        # w on 1 and 3 of the path 0-1-2-3-4: the leaves 0 and 4 must end a
+        # Hamiltonian path, and 0-1 ... 3-4 cannot hold both 2 and w
+        adj = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]).adj
+        ends, _ = oracle._split_ends(adj)
+        assert ends == 0b10001
+        assert not table_says_traceable(adj, 0b01010)
+        assert contains_path(grown(adj, 0b01010), 6) is None
+
+
 class TestClassStats:
     def test_non_traceable_classes_to_seven(self):
         for n in range(2, 8):
@@ -216,6 +256,11 @@ class TestClassStats:
             certs = [cert for cert, _, _ in oracle._graph_stats(n)]
             assert len(certs) == KNOWN_CLASS_COUNTS[n] - TRACEABLE_COUNTS[n]
             assert set(certs) <= set(level_certs(n))
+        # the whole of what phi_bruteforce reads at n = 8, captured when every
+        # child was decided by a path search
+        text = json.dumps(oracle._graph_stats(8))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "a363f20d1bac137f1a48b6a246b15408d41bb93d79f8d31613d3191bf5975bba"
 
     def test_parallel_matches_serial(self, monkeypatch):
         serial = oracle._graph_stats(7)
