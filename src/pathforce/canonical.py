@@ -31,8 +31,13 @@ order[i] gets canonical label i, so pack_by_order(adj, order) is the
 certificate and graph_from_certificate(n, cert) is the input relabelled by
 order. Each generator is a tuple of vertex images and an automorphism of the
 input as labelled; together they generate a subgroup of its automorphism
-group, not always all of it. certificate_adj and automorphism_generators
-return one of the three each.
+group (all of it on every graph with n <= 5, as a test checks), not always
+all of it. certificate_adj returns the certificate alone.
+
+A certificate is the upper-triangle bit string of graph6 read as a binary
+number, so pack_by_order and graph_from_certificate use the codec in graph.
+The search packs its prefixes inline instead: it extends them one column at
+a time and prunes on them.
 
 refine splits every cell by its vertices' neighbour counts in a splitter
 popped from a queue; the root queues the whole vertex set. A child that
@@ -50,7 +55,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from .graph import Graph, bits
+from .graph import Graph, _upper_bits, _upper_rows, bits
 
 CANONICAL_MAX = 64
 
@@ -58,15 +63,8 @@ CANONICAL_MAX = 64
 def pack_by_order(adj: tuple[int, ...] | list[int], order: list[int]) -> int:
     """Upper-triangle bits of the graph relabeled by order, column-major,
     packed most significant first."""
-    cert = 0
-    for j in range(1, len(order)):
-        vj = order[j]
-        row = 0
-        avj = adj[vj]
-        for i in range(j):
-            row = (row << 1) | (avj >> order[i] & 1)
-        cert = (cert << j) | row
-    return cert
+    rows = [sum(1 << i for i, u in enumerate(order) if adj[v] >> u & 1) for v in order]
+    return int("0" + _upper_bits(rows), 2)
 
 
 def canonical_labeling(n: int, adj: tuple[int, ...] | list[int],
@@ -234,14 +232,6 @@ def certificate_adj(n: int, adj: tuple[int, ...] | list[int],
     return canonical_labeling(n, adj, tick)[0]
 
 
-def automorphism_generators(n: int, adj: tuple[int, ...] | list[int]) -> list[tuple[int, ...]]:
-    """Automorphisms recorded by the certificate search, each as the tuple of
-    vertex images. They generate a subgroup of Aut(G) (all of it on every
-    graph with n <= 5, as a test checks); the list is empty when the search
-    met no symmetry."""
-    return canonical_labeling(n, adj)[1]
-
-
 def canonical_certificate(g: Graph) -> int:
     return certificate_adj(g.n, g.adj)
 
@@ -277,15 +267,8 @@ def certificate_bruteforce(g: Graph) -> int:
 
 def graph_from_certificate(n: int, cert: int) -> Graph:
     """Rebuild the canonical representative encoded by a certificate."""
-    rows = [0] * n
-    for j in range(n - 1, 0, -1):
-        row = cert & ((1 << j) - 1)
-        cert >>= j
-        for i in range(j):
-            if row >> (j - 1 - i) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    nbits = n * (n - 1) // 2
+    return Graph(n, _upper_rows(n, format(cert & (1 << nbits) - 1, f"0{nbits}b")))
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:

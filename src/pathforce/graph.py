@@ -4,6 +4,11 @@ Vertex labels are always the contiguous range 0..n-1. Every public constructor
 validates symmetry and looplessness, so any Graph instance in hand is a simple
 undirected graph. Bitset rows make neighborhood algebra (intersection, union,
 reachability sweeps) cheap enough for the exhaustive searches built on top.
+
+The module holds the two bitset primitives the rest of the package shares:
+_reach_mask, the one reachability sweep (components, connectivity and the
+solvers' reach prunes), and the column-major upper-triangle codec
+(_upper_bits and _upper_rows) behind graph6 text and canonical certificates.
 """
 
 from __future__ import annotations
@@ -134,30 +139,34 @@ def induced_subgraph(g: Graph, mask: int) -> tuple[Graph, list[int]]:
     return Graph(len(ids), tuple(rows)), ids
 
 
+def _reach_mask(adj: tuple[int, ...], seeds: int, allowed: int, stop: int | None = None) -> int:
+    """Vertices of `allowed` reachable from `seeds` inside `allowed`. With stop
+    given, the search may end once it holds stop vertices or more."""
+    reach = frontier = seeds & allowed
+    while frontier and (stop is None or reach.bit_count() < stop):
+        grow = 0
+        while frontier:
+            low = frontier & -frontier
+            grow |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grow & allowed & ~reach
+        reach |= frontier
+    return reach
+
+
 def connected_components(g: Graph) -> list[int]:
     """Vertex masks of connected components, ordered by smallest member."""
-    seen = 0
     comps = []
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = 1 << v
-        while frontier:
-            nxt = 0
-            for u in bits(frontier):
-                nxt |= g.adj[u]
-            frontier = nxt & ~comp
-            comp |= frontier
-        comps.append(comp)
-        seen |= comp
+    rest = g.vertex_mask()
+    while rest:
+        comps.append(_reach_mask(g.adj, rest & -rest, rest))
+        rest ^= comps[-1]
     return comps
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    return len(connected_components(g)) == 1
+    full = g.vertex_mask()
+    return _reach_mask(g.adj, 1, full) == full
 
 
 def _blocks_on(adj: tuple[int, ...], mask: int) -> Iterator[int]:
@@ -358,9 +367,37 @@ class CycleWitness:
 
 
 # graph6 codec. Column-major upper triangle bits, 6 bits per printable byte,
-# offset 63, zero padding; 1-, and 4-byte vertex-count headers.
+# offset 63, zero padding; 1-, and 4-byte vertex-count headers. Canonical
+# certificates pack the same upper-triangle bit string into an integer.
 
 _SIX_BITS = [format(code, "06b") for code in range(64)]
+
+
+def _upper_bits(adj: tuple[int, ...] | list[int]) -> str:
+    """The upper triangle of adj as a '0'/'1' string: column j = 1..n-1 in
+    turn, each listing rows 0..j-1 in order."""
+    return "".join([format(adj[j] & ((1 << j) - 1), f"0{j}b")[::-1]
+                    for j in range(1, len(adj))])
+
+
+def _upper_rows(n: int, stream: str) -> tuple[int, ...]:
+    """Adjacency rows of the n-vertex graph whose upper triangle starts
+    stream (as _upper_bits writes it); bits past the triangle are ignored."""
+    # Reversed, column j (rows i < j, in order) is the binary number
+    # stream[end - j:end] with row i at bit i.
+    stream = stream[::-1]
+    rows = [0] * n
+    end = len(stream)
+    for j in range(1, n):
+        col = int(stream[end - j:end], 2)
+        end -= j
+        rows[j] = col
+        while col:
+            low = col & -col
+            col ^= low
+            rows[low.bit_length() - 1] |= 1 << j
+    return tuple(rows)
+
 
 def _encode_count(n: int) -> str:
     if n <= 62:
@@ -371,21 +408,10 @@ def _encode_count(n: int) -> str:
 
 
 def encode_graph6(g: Graph) -> str:
-    out = [_encode_count(g.n)]
-    acc = 0
-    width = 0
-    for j in range(1, g.n):
-        col = g.adj[j]
-        for i in range(j):
-            acc = (acc << 1) | (col >> i & 1)
-            width += 1
-            if width == 6:
-                out.append(chr(63 + acc))
-                acc = 0
-                width = 0
-    if width:
-        out.append(chr(63 + (acc << (6 - width))))
-    return "".join(out)
+    stream = _upper_bits(g.adj)
+    stream += "0" * (-len(stream) % 6)
+    return _encode_count(g.n) + "".join([chr(63 + int(stream[i:i + 6], 2))
+                                         for i in range(0, len(stream), 6)])
 
 
 def decode_graph6(data: str | bytes) -> Graph:
@@ -416,22 +442,10 @@ def decode_graph6(data: str | bytes) -> Graph:
     nbits = n * (n - 1) // 2
     if len(body) != (nbits + 5) // 6:
         raise ValueError("malformed graph6: body length does not match vertex count")
-    # The bit stream reversed, so that column j (rows i < j, in order) is the
-    # binary number stream[end - j:end] with row i at bit i.
-    stream = "".join([_SIX_BITS[code] for code in body])[::-1]
-    if "1" in stream[:len(stream) - nbits]:
+    stream = "".join([_SIX_BITS[code] for code in body])
+    if "1" in stream[nbits:]:
         raise ValueError("malformed graph6: nonzero padding bits")
-    rows = [0] * n
-    end = len(stream)
-    for j in range(1, n):
-        col = int(stream[end - j:end], 2)
-        end -= j
-        rows[j] = col
-        while col:
-            low = col & -col
-            col ^= low
-            rows[low.bit_length() - 1] |= 1 << j
-    return Graph(n, tuple(rows))
+    return Graph(n, _upper_rows(n, stream))
 
 
 def export_dot(g: Graph, highlight: int = 0) -> str:

@@ -29,7 +29,6 @@ from multiprocessing import Pool
 
 from .canonical import (
     are_isomorphic,
-    automorphism_generators,
     canonical_labeling,
     certificate_adj,
     graph_from_certificate,
@@ -176,7 +175,7 @@ def _child_certs(args: tuple[int, int] | tuple[int, int, bool]) -> set[int]:
     n_prev, cert, *rest = args
     untraceable = any(rest)
     adj = graph_from_certificate(n_prev, cert).adj
-    gens = automorphism_generators(n_prev, adj)
+    gens = canonical_labeling(n_prev, adj)[1]
     n, new_bit = n_prev + 1, 1 << n_prev
     deg = [a.bit_count() for a in adj]
     top = max(deg)

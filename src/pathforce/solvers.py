@@ -44,6 +44,7 @@ from .graph import (
     MAX_VERTICES,
     Graph,
     PathWitness,
+    _reach_mask,
     biconnected_components,
     bits,
     connected_components,
@@ -161,21 +162,6 @@ class PathCover:
         if required & ~seen:
             missing = next(bits(required & ~seen))
             raise ValueError(f"cover misses required vertex {missing}")
-
-
-def _reach_mask(adj: tuple[int, ...], seeds: int, allowed: int, stop: int | None = None) -> int:
-    """Vertices of `allowed` reachable from `seeds` inside `allowed`. With stop
-    given, the search may end once it holds stop vertices or more."""
-    reach = frontier = seeds & allowed
-    while frontier and (stop is None or reach.bit_count() < stop):
-        grow = 0
-        while frontier:
-            low = frontier & -frontier
-            grow |= adj[low.bit_length() - 1]
-            frontier ^= low
-        frontier = grow & allowed & ~reach
-        reach |= frontier
-    return reach
 
 
 def _path_search_component(g: Graph, comp: int, m: int, meter: _Meter) -> list[int] | None:
@@ -550,6 +536,8 @@ def find_path_through_X(b: BipartitionView, mode: str,
         wit = PathWitness((xs[0],))
         wit.validate(g)
         return wit
+    if g.n >= MAX_VERTICES:
+        raise ValueError(f"n={g.n} too large: the apex reduction needs n <= {MAX_VERTICES - 1}")
     apex = g.n
     aug = Graph(g.n + 1, tuple(row | 1 << apex if b.x_mask >> v & 1 else row
                                for v, row in enumerate(g.adj)) + (b.x_mask,))

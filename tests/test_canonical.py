@@ -10,7 +10,6 @@ import pytest
 from pathforce.canonical import (
     CANONICAL_MAX,
     are_isomorphic,
-    automorphism_generators,
     canonical_certificate,
     canonical_labeling,
     certificate_adj,
@@ -21,26 +20,12 @@ from pathforce.canonical import (
 from pathforce.constructions import build_G
 from pathforce.graph import build_graph
 from pathforce.oracle import level_certs
-
-
-def random_graph(rng, n, p):
-    return build_graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
-
-
-def friendship_graph(k):
-    return build_graph(2 * k + 1, [e for i in range(k) for e in
-                                   ((0, 2 * i + 1), (0, 2 * i + 2), (2 * i + 1, 2 * i + 2))])
+from sample_graphs import all_labeled_graphs, friendship_graph, random_graph
 
 
 def disjoint_triangles(k):
     return build_graph(3 * k, [(3 * i + a, 3 * i + b) for i in range(k)
                                for a, b in ((0, 1), (0, 2), (1, 2))])
-
-
-def all_labeled_graphs(n):
-    pairs = list(combinations(range(n), 2))
-    for code in range(1 << len(pairs)):
-        yield build_graph(n, [pairs[i] for i in range(len(pairs)) if code >> i & 1])
 
 
 class TestCertificate:
@@ -160,7 +145,7 @@ class TestAutomorphisms:
         graphs += [friendship_graph(k) for k in range(3, 7)]
         graphs += [disjoint_triangles(k) for k in range(2, 6)]
         for g in graphs:
-            gens = automorphism_generators(g.n, g.adj)
+            gens = canonical_labeling(g.n, g.adj)[1]
             assert all(is_automorphism(g, perm) for perm in gens)
 
     def test_generators_give_the_whole_group_to_five(self):
@@ -168,15 +153,15 @@ class TestAutomorphisms:
             for c in level_certs(n):
                 g = graph_from_certificate(n, c)
                 aut = sum(is_automorphism(g, p) for p in permutations(range(n)))
-                assert group_order(n, automorphism_generators(n, g.adj)) == aut
+                assert group_order(n, canonical_labeling(n, g.adj)[1]) == aut
 
     def test_symmetric_graphs(self):
         # friendship graphs and disjoint triangles: orders 2^k k! and 6^k k!
-        assert group_order(7, automorphism_generators(7, friendship_graph(3).adj)) == 48
-        assert group_order(9, automorphism_generators(9, disjoint_triangles(3).adj)) == 1296
+        assert group_order(7, canonical_labeling(7, friendship_graph(3).adj)[1]) == 48
+        assert group_order(9, canonical_labeling(9, disjoint_triangles(3).adj)[1]) == 1296
         # the spider with legs 1, 2, 3 is the smallest asymmetric tree
         spider = build_graph(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
-        assert automorphism_generators(7, spider.adj) == []
+        assert canonical_labeling(7, spider.adj)[1] == []
 
     def test_search_nodes_pinned(self):
         # nodes of one certificate search; without orbit pruning F8 needs
@@ -218,7 +203,7 @@ class TestLabeling:
             cert, gens, order = canonical_labeling(g.n, g.adj)
             assert sorted(order) == list(range(g.n))
             assert cert == certificate_adj(g.n, g.adj) == pack_by_order(g.adj, order)
-            assert gens == automorphism_generators(g.n, g.adj)
+            assert gens == canonical_labeling(g.n, g.adj)[1]
             assert all(is_automorphism(g, perm) for perm in gens)
             relabeled_rows = tuple(sum((g.adj[v] >> u & 1) << j for j, u in enumerate(order))
                                    for v in order)

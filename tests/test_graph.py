@@ -3,13 +3,12 @@
 import hashlib
 import json
 import random
-from itertools import combinations
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathforce.canonical import graph_from_certificate
+from pathforce.canonical import graph_from_certificate, pack_by_order
 from pathforce.graph import (
     BipartitionView,
     CycleWitness,
@@ -33,19 +32,12 @@ from pathforce.graph import (
     mask_of,
 )
 from pathforce.oracle import level_certs
+from sample_graphs import cycle_graph, random_graph
 
 # sha256 over f"{biconnected_components(g)} {articulation_vertices(g)}\n" for
 # the graphs of test_blocks_and_cuts_pinned, block order kept; captured from
 # the edge-stack block routine that the vertex-mask lowpoint DFS replaced.
 BLOCK_DIGEST = "d290f99033fbc4879e3ca559a7ec9c4f2866bbd9e74147c7abc7f428504fefc9"
-
-
-def random_graph(rng, n, p):
-    return build_graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
-
-
-def cycle_graph(n):
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def path_graph(n):
@@ -158,6 +150,17 @@ class TestConnectivity:
         assert sorted(comps) == [0b00011, 0b01100, 0b10000]
         assert not is_connected(g)
         assert is_connected(cycle_graph(4))
+
+    def test_components_match_networkx(self):
+        rng = random.Random(412)
+        for trial in range(600):
+            n = rng.randrange(0, 21)
+            g = random_graph(rng, n, rng.choice([0.05, 0.1, 0.2, 0.4]))
+            h = _to_nx(g)
+            # ordered by lowest vertex, which is the lowest set bit of the mask
+            want = sorted((mask_of(c) for c in nx.connected_components(h)), key=lambda m: m & -m)
+            assert connected_components(g) == want
+            assert is_connected(g) == (n == 0 or nx.is_connected(h))
 
     def test_two_connected(self):
         assert is_two_connected(cycle_graph(4))
@@ -298,6 +301,26 @@ class TestGraph6:
     def test_roundtrip_property(self, n, seed):
         g = random_graph(random.Random(seed), n, 0.5)
         assert decode_graph6(encode_graph6(g)).adj == g.adj
+
+    def test_certificate_edge_cases(self):
+        for n in (0, 1, 2):
+            assert graph_from_certificate(n, 0).adj == (0,) * n
+        # a certificate's leading zero columns belong to its bit string
+        for n in range(2, 9):
+            nbits = n * (n - 1) // 2
+            for cert, edge in ((1, (n - 2, n - 1)), (1 << nbits - 1, (0, 1))):
+                g = build_graph(n, [edge])
+                assert pack_by_order(g.adj, list(range(n))) == cert
+                assert graph_from_certificate(n, cert).adj == g.adj
+
+    def test_certificate_bits_are_a_graph6_body(self):
+        for n in range(1, 8):
+            nbits = n * (n - 1) // 2
+            for cert in level_certs(n):
+                stream = format(cert, f"0{nbits}b") if nbits else ""
+                stream += "0" * (-nbits % 6)
+                body = "".join(chr(63 + int(stream[i:i + 6], 2)) for i in range(0, len(stream), 6))
+                assert decode_graph6(chr(63 + n) + body) == graph_from_certificate(n, cert)
 
 
 class TestBipartitionView:

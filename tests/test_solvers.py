@@ -8,7 +8,7 @@ import pytest
 
 from pathforce import solvers
 from pathforce.constructions import build_essential_counterexample, build_G, build_H_star
-from pathforce.graph import BipartitionView, PathWitness, build_graph, is_connected
+from pathforce.graph import MAX_VERTICES, BipartitionView, PathWitness, build_graph, is_connected
 from pathforce.oracle import random_bipartite_instance
 from pathforce.solvers import (
     HypothesisViolation,
@@ -25,19 +25,7 @@ from pathforce.solvers import (
     path_cover_of_X,
 )
 from pathforce.solvers import _Meter
-
-
-def random_graph(rng, n, p):
-    return build_graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
-
-
-def cycle_graph(n):
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def friendship_graph(k):
-    return build_graph(2 * k + 1, [e for i in range(k) for e in
-                                   ((0, 2 * i + 1), (0, 2 * i + 2), (2 * i + 1, 2 * i + 2))])
+from sample_graphs import cycle_graph, friendship_graph, random_graph
 
 
 def disjoint_union(g, h):
@@ -656,6 +644,15 @@ class TestPathThroughX:
         g = build_graph(2, [(0, 1)])
         with pytest.raises(ValueError, match="unknown mode"):
             find_path_through_X(BipartitionView.from_x(g, [0]), "nope")
+
+    def test_vertex_cap(self):
+        # the apex reduction adds a vertex, so the largest input is one short of the cap
+        edges = [(0, 2), (1, 2), (0, 3), (1, 3)]
+        below = BipartitionView.from_x(build_graph(MAX_VERTICES - 1, edges), [0, 1])
+        assert find_path_through_X(below, "jackson", require_hypothesis=False) is not None
+        at = BipartitionView.from_x(build_graph(MAX_VERTICES, edges), [0, 1])
+        with pytest.raises(ValueError, match=f"needs n <= {MAX_VERTICES - 1}"):
+            find_path_through_X(at, "jackson", require_hypothesis=False)
 
 
 class TestPathCoverOfX:
