@@ -44,7 +44,10 @@ popped from a queue; the root queues the whole vertex set. A child that
 individualizes v in cell C of its parent's equitable partition queues only
 {v} and C - v, remainder first: each of its cells lies inside a parent cell,
 on which counts against any parent cell are uniform, so an old cell never
-splits anything. Refinement stops once the partition is discrete.
+splits anything. Refinement stops once the partition is discrete. A splitter
+of one or two vertices a, b (most of those popped) splits a cell with row
+masks alone, into its vertices adjacent to neither, to exactly one and to
+both, in that order of count; larger splitters count per vertex.
 
 certificate_bruteforce is an independent reference invariant (true minimum
 over all orderings, n <= 8). The two invariants differ as numbers but induce
@@ -86,13 +89,28 @@ def canonical_labeling(n: int, adj: tuple[int, ...] | list[int],
     def refine(cells: list[int], queue: list[int]) -> list[int]:
         while queue and len(cells) < n:
             splitter = queue.pop()
+            out: list[int] = []
+            if splitter.bit_count() <= 2:
+                # one or two vertices a, b: split by row masks, counts 0, 1, 2
+                ra = adj[splitter.bit_length() - 1]
+                rb = adj[(splitter & -splitter).bit_length() - 1]
+                one, two = ra ^ rb, ra & rb
+                for cell in cells:
+                    b, c = cell & one, cell & two
+                    if b == cell or c == cell or not b | c:  # all in one part
+                        out.append(cell)
+                        continue
+                    parts = [p for p in (cell ^ b ^ c, b, c) if p]
+                    out += parts
+                    queue += parts
+                cells = out
+                continue
             touched = 0
             rest = splitter
             while rest:
                 low = rest & -rest
                 touched |= adj[low.bit_length() - 1]
                 rest ^= low
-            out: list[int] = []
             for cell in cells:
                 if cell.bit_count() <= 1 or not cell & touched:
                     out.append(cell)
@@ -114,15 +132,16 @@ def canonical_labeling(n: int, adj: tuple[int, ...] | list[int],
         return cells
 
     def is_twin_cell(cell: int) -> bool:
-        vs = list(bits(cell))
-        first = vs[0]
-        outside = adj[first] & ~cell
-        inside = (adj[first] & cell).bit_count()
-        if inside not in (0, len(vs) - 1):
-            return False
-        for v in vs[1:]:
-            if adj[v] & ~cell != outside or (adj[v] & cell).bit_count() != inside:
+        # twins: equal rows off the cell, and the cell empty or complete
+        # inside, so each row with its own bit added matches the first's
+        first = adj[(cell & -cell).bit_length() - 1]
+        base = first & ~cell | (cell if first & cell else 0)
+        rest = cell
+        while rest:
+            low = rest & -rest
+            if adj[low.bit_length() - 1] | low != base | low:
                 return False
+            rest ^= low
         return True
 
     # generators as (image tuple, mask of moved vertices)
@@ -162,8 +181,8 @@ def canonical_labeling(n: int, adj: tuple[int, ...] | list[int],
             v = cells[idx].bit_length() - 1
             row = 0
             av = adj[v]
-            for i in range(idx):
-                row = (row << 1) | (av >> (cells[i].bit_length() - 1) & 1)
+            for u in order:
+                row = (row << 1) | (av >> u & 1)
             partial = (partial << idx) | row
             done_bits += idx
             if best is not None and partial > (best >> (nbits - done_bits)):
@@ -265,10 +284,16 @@ def certificate_bruteforce(g: Graph) -> int:
     return cert
 
 
+def _certificate_rows(n: int, cert: int) -> tuple[int, ...]:
+    """Adjacency rows encoded by a certificate, 0 <= cert < 2^(n(n-1)/2)."""
+    return _upper_rows(n, format(cert, f"0{n * (n - 1) // 2}b"))
+
+
 def graph_from_certificate(n: int, cert: int) -> Graph:
     """Rebuild the canonical representative encoded by a certificate."""
-    nbits = n * (n - 1) // 2
-    return Graph(n, _upper_rows(n, format(cert & (1 << nbits) - 1, f"0{nbits}b")))
+    if not 0 <= cert < 1 << n * (n - 1) // 2:
+        raise ValueError(f"certificate {cert} out of range for n={n}")
+    return Graph(n, _certificate_rows(n, cert))
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:

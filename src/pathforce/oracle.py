@@ -25,9 +25,9 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
-from multiprocessing import Pool
 
 from .canonical import (
+    _certificate_rows,
     are_isomorphic,
     canonical_labeling,
     certificate_adj,
@@ -171,16 +171,24 @@ def _child_certs(args: tuple[int, int] | tuple[int, int, bool]) -> set[int]:
     This runs before the orbit step: an automorphism of P extends to an
     isomorphism of the two children fixing the new vertex, so a rejected
     neighbourhood's orbit is rejected member by member, with none marked.
+    When too few vertices lie off the ends for any neighbourhood of maximum
+    degree to avoid them, no child survives and the parent returns at once.
+
+    The parent's own certificate search, for the generators of the orbit
+    step, runs only once a neighbourhood has passed both filters.
     """
     n_prev, cert, *rest = args
     untraceable = any(rest)
-    adj = graph_from_certificate(n_prev, cert).adj
-    gens = canonical_labeling(n_prev, adj)[1]
+    adj = _certificate_rows(n_prev, cert)
     n, new_bit = n_prev + 1, 1 << n_prev
     deg = [a.bit_count() for a in adj]
     top = max(deg)
     top_mask = mask_of(v for v in range(n_prev) if deg[v] == top)
     ends, pairs = _split_ends(adj) if untraceable else (0, ())
+    free = (new_bit - 1) & ~ends
+    if free.bit_count() < top + bool(free & top_mask):
+        return set()  # every neighbourhood of maximum degree meets an end
+    gens: list[tuple[int, ...]] | None = None
     out: set[int] = set()
     seen: set[int] = set()
     for nb in range(1 << n_prev):
@@ -188,6 +196,8 @@ def _child_certs(args: tuple[int, int] | tuple[int, int, bool]) -> set[int]:
             continue  # the new vertex's degree is not the maximum
         if untraceable and (nb & ends or any(nb & p == p for p in pairs)):
             continue  # traceable: the new vertex ends or joins a Hamiltonian path
+        if gens is None:
+            gens = canonical_labeling(n_prev, adj)[1]
         if gens:
             if nb in seen:
                 continue  # an automorphic image of a neighbourhood already tried
@@ -499,6 +509,7 @@ class VerificationReport:
 def _map_cells(fn, cells: list, jobs: int) -> list:
     if jobs <= 1 or len(cells) < 8:
         return [fn(c) for c in cells]
+    from multiprocessing import Pool  # here, so a serial run never imports it
     with Pool(jobs) as pool:
         return pool.map(fn, cells, chunksize=max(1, len(cells) // (jobs * 8)))
 

@@ -503,6 +503,15 @@ def find_cycle_through_X(b: BipartitionView, budget: SearchBudget | None = None)
     return None
 
 
+def _without_isolated_y(b: BipartitionView) -> tuple[Graph, list[int], int]:
+    """The graph minus its isolated Y-vertices, which lie on no path through
+    X: the subgraph, its labels' original vertices, and X in its labels."""
+    g = b.graph
+    iso = mask_of(y for y in bits(b.y_mask) if not g.adj[y])
+    sub, ids = induced_subgraph(g, g.vertex_mask() & ~iso)
+    return sub, ids, mask_of(i for i, orig in enumerate(ids) if b.x_mask >> orig & 1)
+
+
 def find_path_through_X(b: BipartitionView, mode: str,
                         budget: SearchBudget | None = None,
                         require_hypothesis: bool = True) -> PathWitness | None:
@@ -513,7 +522,8 @@ def find_path_through_X(b: BipartitionView, mode: str,
       essential  connected and |X| <= d and |Y| <= 3d-3
     with d the minimum X-degree. Under a satisfied profile an exhaustive miss
     raises LemmaViolationError. With require_hypothesis=False a violating
-    instance is searched anyway and may honestly return None.
+    instance is searched anyway and may honestly return None. Isolated
+    Y-vertices are deleted before the apex is added.
     """
     if mode not in ("jackson", "essential"):
         raise ValueError(f"unknown mode: {mode}")
@@ -536,13 +546,13 @@ def find_path_through_X(b: BipartitionView, mode: str,
         wit = PathWitness((xs[0],))
         wit.validate(g)
         return wit
-    if g.n >= MAX_VERTICES:
-        raise ValueError(f"n={g.n} too large: the apex reduction needs n <= {MAX_VERTICES - 1}")
-    apex = g.n
-    aug = Graph(g.n + 1, tuple(row | 1 << apex if b.x_mask >> v & 1 else row
-                               for v, row in enumerate(g.adj)) + (b.x_mask,))
-    baug = BipartitionView(aug, b.x_mask, b.y_mask | 1 << apex)
-    cyc = find_cycle_through_X(baug, budget)
+    sub, ids, x_local = _without_isolated_y(b)
+    if sub.n >= MAX_VERTICES:
+        raise ValueError(f"n={sub.n} too large: the apex reduction needs n <= {MAX_VERTICES - 1}")
+    apex = sub.n
+    aug = Graph(sub.n + 1, tuple(row | 1 << apex if x_local >> v & 1 else row
+                                 for v, row in enumerate(sub.adj)) + (x_local,))
+    cyc = find_cycle_through_X(BipartitionView(aug, x_local, aug.vertex_mask() & ~x_local), budget)
     if cyc is None:
         if ok:
             raise LemmaViolationError(
@@ -552,10 +562,9 @@ def find_path_through_X(b: BipartitionView, mode: str,
     verts = list(cyc.vertices)
     if apex in verts:
         i = verts.index(apex)
-        path = verts[i + 1:] + verts[:i]
-    else:
-        # the cycle avoids the apex and lives in g; cut its closing edge
-        path = verts
+        verts = verts[i + 1:] + verts[:i]
+    # otherwise the cycle avoids the apex: cut its closing edge
+    path = [ids[v] for v in verts]
     wit = PathWitness(tuple(path))
     wit.validate(g)
     assert b.x_mask & ~mask_of(path) == 0
@@ -589,11 +598,9 @@ def path_cover_of_X(b: BipartitionView, t: int,
             f"|Y|={ny} vs 3d+2t-3={3 * d + 2 * t - 3}")
     if nx == 1:
         return PathCover((PathWitness((b.x_mask.bit_length() - 1,)),))
-    iso = mask_of(y for y in bits(b.y_mask) if not g.adj[y])
-    sub, ids = induced_subgraph(g, g.vertex_mask() & ~iso)
+    sub, ids, x_local = _without_isolated_y(b)
     if sub.n + t + 1 > MAX_VERTICES:
         raise ValueError(f"t={t} too large: the largest allowed t is {MAX_VERTICES - 1 - sub.n}")
-    x_local = mask_of(i for i, orig in enumerate(ids) if b.x_mask >> orig & 1)
     apexes = ((1 << t + 1) - 1) << sub.n
     aug = Graph(sub.n + t + 1, tuple(row | apexes if x_local >> v & 1 else row
                                      for v, row in enumerate(sub.adj)) + (x_local,) * (t + 1))

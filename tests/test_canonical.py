@@ -72,6 +72,12 @@ class TestCertificate:
         assert hashlib.sha256(blob).hexdigest() == \
             "422c73a23002c16b04daa9f68fc6cd97d1d6c52f493d8a307d28fd50a52dbaa5"
 
+    def test_graph_from_certificate_range(self):
+        assert graph_from_certificate(3, 7).adj == build_graph(3, [(0, 1), (0, 2), (1, 2)]).adj
+        for cert in (-1, 0b1000):
+            with pytest.raises(ValueError, match="out of range"):
+                graph_from_certificate(3, cert)
+
     def test_bruteforce_is_minimum_over_all_orderings(self):
         rng = random.Random(408)
         graphs = [g for n in range(2, 5) for g in all_labeled_graphs(n)]
@@ -208,6 +214,18 @@ class TestLabeling:
             relabeled_rows = tuple(sum((g.adj[v] >> u & 1) << j for j, u in enumerate(order))
                                    for v in order)
             assert relabeled_rows == graph_from_certificate(g.n, cert).adj
+
+    def test_labeling_pinned(self):
+        # sha256 of the whole (certificate, generators, ordering) per graph,
+        # captured before the refinement's mask split: a change to the search
+        # that kept the certificates could still move the other two
+        rng = random.Random(430)
+        graphs = [g for n in range(6) for g in all_labeled_graphs(n)]
+        graphs += [random_graph(rng, rng.randrange(6, 17), rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
+                   for _ in range(400)]
+        blob = "\n".join(repr(canonical_labeling(g.n, g.adj)) for g in graphs).encode()
+        assert hashlib.sha256(blob).hexdigest() == \
+            "56bda067dc4101adc683734e01bd21113fde89397105936b60afed8efdbab228"
 
 
 class TestAreIsomorphic:

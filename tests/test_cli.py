@@ -3,6 +3,7 @@
 import importlib
 import io
 import json
+import multiprocessing
 import os
 import re
 import shutil
@@ -307,7 +308,7 @@ class TestOracleCommand:
     def test_jobs_out_of_range_exits_two(self, capsys, monkeypatch, jobs):
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started")
-        monkeypatch.setattr(pathforce.oracle, "Pool", no_pool)
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         code, out, err = run_cli(capsys, ["oracle", "jackson", "--trials", "3",
                                           "--jobs", str(jobs)])
         assert code == 2
@@ -345,6 +346,18 @@ class TestConsoleScript:
                               env={**os.environ, "PYTHONPATH": pythonpath})
         assert proc.returncode == 0
         assert "REFUTES conjectured bound" in proc.stdout
+
+
+def test_import_leaves_multiprocessing_out():
+    # a pool is started only by --jobs above one, so importing must not load it
+    package_root = str(Path(pathforce.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", "import sys, pathforce, pathforce.cli; "
+                           "print('multiprocessing' in sys.modules)"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": pythonpath})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def run_fresh_process(argv, env=None):

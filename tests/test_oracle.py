@@ -259,6 +259,27 @@ class TestClassStats:
         assert hashlib.sha256(text.encode()).hexdigest() == \
             "a363f20d1bac137f1a48b6a246b15408d41bb93d79f8d31613d3191bf5975bba"
 
+    def test_parent_searches_deferred(self, monkeypatch):
+        # a parent's generator search runs only once a neighbourhood passes
+        # both filters; children come as lists, the parent's rows as a tuple
+        parents = level_certs(7)
+        searches = []
+        labeling = oracle.canonical_labeling
+
+        def counted_labeling(n, rows):
+            if isinstance(rows, tuple):
+                searches.append(n)
+            return labeling(n, rows)
+
+        monkeypatch.setattr(oracle, "canonical_labeling", counted_labeling)
+        assert parents[-1] == (1 << 21) - 1  # K7
+        assert oracle._child_certs((7, parents[-1], True)) == set()
+        assert searches == []
+        for cert in parents:
+            oracle._child_certs((7, cert, True))
+        # 248 of the 1,044 parents grow a neighbourhood past both filters
+        assert len(searches) == 248
+
     def test_parallel_matches_serial(self, monkeypatch):
         serial = oracle._graph_stats(7)
         monkeypatch.setattr(oracle, "_STATS", {})

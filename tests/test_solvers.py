@@ -650,9 +650,18 @@ class TestPathThroughX:
         edges = [(0, 2), (1, 2), (0, 3), (1, 3)]
         below = BipartitionView.from_x(build_graph(MAX_VERTICES - 1, edges), [0, 1])
         assert find_path_through_X(below, "jackson", require_hypothesis=False) is not None
+        # isolated Y-vertices are deleted first, so the cap counts the rest
+        edges += [(0, y) for y in range(4, MAX_VERTICES)]
         at = BipartitionView.from_x(build_graph(MAX_VERTICES, edges), [0, 1])
         with pytest.raises(ValueError, match=f"needs n <= {MAX_VERTICES - 1}"):
             find_path_through_X(at, "jackson", require_hypothesis=False)
+
+    def test_isolated_y_vertices_deleted(self):
+        # 508 isolated Y-vertices would take the apex graph past the cap
+        g = build_graph(MAX_VERTICES, [(0, 2), (1, 2), (0, 3), (1, 3)])
+        wit = find_path_through_X(BipartitionView.from_x(g, [0, 1]), "jackson",
+                                  require_hypothesis=False)
+        assert wit.vertices == (0, 2, 1, 3)
 
 
 class TestPathCoverOfX:
