@@ -69,6 +69,7 @@ from .solvers import (
     PathCover,
     SearchBudget,
     SearchBudgetExceeded,
+    _path_table,
     contains_path,
     find_cycle_through_X,
     longest_cycle,
@@ -135,44 +136,21 @@ def _add_orbit(nb: int, gens: list[tuple[int, ...]], seen: set[int]) -> None:
                 stack.append(t)
 
 
-def _split_ends(adj: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """(ends, pairs): where a new vertex w must attach for P + w to be traceable.
-
-    A Held-Karp subset table (Bellman 1962; Held & Karp 1962): reach[S] holds
-    the ends of the Hamiltonian paths of P[S]; v is one iff S = {v} or v has
-    a neighbour in reach[S - v]. A Hamiltonian path of P + w ends in w, leaving
-    one of P that ends next to w, or passes through w, leaving two that cover
-    S and V - S, each with an end next to w. So, exactly, N(w) meets
-    ends = reach[V] or holds a pair {a, b} with a in reach[S] and b in
-    reach[V - S]; pairs that ends already covers are left out.
-    """
-    full = (1 << len(adj)) - 1
-    reach = [0] * (full + 1)
-    for s in range(1, full + 1):
-        r, todo = 0, s
-        while todo:
-            low = todo & -todo
-            if s == low or adj[low.bit_length() - 1] & reach[s ^ low]:
-                r |= low
-            todo ^= low
-        reach[s] = r
-    ends = reach[full]
-    pairs = {1 << a | 1 << b for s in range(1, full, 2)  # odd s: each split once
-             for a in bits(reach[s] & ~ends) for b in bits(reach[full ^ s] & ~ends)}
-    return ends, tuple(pairs)
-
-
 def _child_certs(args: tuple[int, int] | tuple[int, int, bool]) -> set[int]:
     """Certificates of the classes whose canonical deletion gives this parent.
 
-    With a third item true, only the classes with no path on all n vertices:
-    the parent's subset table (_split_ends) rejects, with no path search, a
-    new vertex that ends such a path or joins two paths that cover the parent.
-    This runs before the orbit step: an automorphism of P extends to an
-    isomorphism of the two children fixing the new vertex, so a rejected
-    neighbourhood's orbit is rejected member by member, with none marked.
-    When too few vertices lie off the ends for any neighbourhood of maximum
-    degree to avoid them, no child survives and the parent returns at once.
+    With a third item true, only the classes with no path on all n vertices,
+    decided with no path search from the parent's subset table (_path_table).
+    A Hamiltonian path of P + w ends in w, leaving one of P that ends next to
+    w, or passes through w, leaving two that cover S and V - S, each with an
+    end next to w. So, exactly, N(w) meets the ends for V or holds a pair
+    {a, b}, a an end for S and b one for V - S; pairs that the ends for V
+    already cover are left out. This runs before the orbit step: an
+    automorphism of P extends to an isomorphism of the two children fixing
+    the new vertex, so a rejected neighbourhood's orbit is rejected member by
+    member, with none marked. When too few vertices lie off the ends for any
+    neighbourhood of maximum degree to avoid them, no child survives and the
+    parent returns at once, before the pair set is built.
 
     The parent's own certificate search, for the generators of the orbit
     step, runs only once a neighbourhood has passed both filters.
@@ -184,10 +162,14 @@ def _child_certs(args: tuple[int, int] | tuple[int, int, bool]) -> set[int]:
     deg = [a.bit_count() for a in adj]
     top = max(deg)
     top_mask = mask_of(v for v in range(n_prev) if deg[v] == top)
-    ends, pairs = _split_ends(adj) if untraceable else (0, ())
-    free = (new_bit - 1) & ~ends
+    full = new_bit - 1
+    table = _path_table(adj)[0] if untraceable else {}
+    ends = table.get(full, 0)
+    free = full & ~ends
     if free.bit_count() < top + bool(free & top_mask):
         return set()  # every neighbourhood of maximum degree meets an end
+    pairs = tuple({1 << a | 1 << b for s, r in table.items() if s & 1 and s != full
+                   for a in bits(r & ~ends) for b in bits(table.get(full ^ s, 0) & ~ends)})
     gens: list[tuple[int, ...]] | None = None
     out: set[int] = set()
     seen: set[int] = set()

@@ -34,7 +34,7 @@ are searched does not change, so neither do node counts.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 from .canonical import certificate_adj
@@ -305,47 +305,61 @@ def contains_path(g: Graph, m: int, budget: SearchBudget | None = None) -> PathW
     return _search_components(g, _component_classes(g, m, meter), m, meter)
 
 
-def _longest_path_dp(g: Graph, meter: _Meter) -> tuple[list[int], bool]:
-    """Longest path by subset dynamic programming, and whether it is optimal.
+def _path_table(adj: tuple[int, ...] | list[int], tick: Callable[[], None] | None = None
+                ) -> tuple[dict[int, int], dict[int, int], bool]:
+    """(table, top, complete): the Held-Karp subset table (Held & Karp 1962).
 
-    State: for each vertex subset, the bitmask of endpoints of paths covering
-    exactly that subset; only subsets inside one component ever arise.
-    Layered by subset size, full table kept for reconstruction. The meter
-    ticks once per (subset, end) state expanded; when it runs out, the path
-    is rebuilt from the last complete layer and is not optimal.
+    table maps each vertex set S that a path covers exactly (so S lies in one
+    component) to the bitmask of that path's possible ends, grown in layers
+    of subset size: u off S ends a path covering S + u iff u is adjacent to
+    an end for S. top is the last complete non-empty layer. tick runs once
+    per (set, end) state expanded; when it raises SearchBudgetExceeded, the
+    table holds the complete layers only and complete is false.
     """
-    n = g.n
-    adj = g.adj
-    table: dict[int, int] = {1 << v: 1 << v for v in range(n)}
-    layer = dict(table)
-    last_layer = layer
-    optimal = True
+    table = {1 << v: 1 << v for v in range(len(adj))}
+    layer = top = dict(table)
     try:
         while layer:
             grown: dict[int, int] = {}
-            for mask, ends in layer.items():
-                for e in bits(ends):
-                    meter.tick()
-                    for u in bits(adj[e] & ~mask):
-                        key = mask | 1 << u
-                        grown[key] = grown.get(key, 0) | 1 << u
+            for s, ends in layer.items():
+                free = 0  # neighbours of the ends, off S
+                while ends:
+                    low = ends & -ends
+                    ends ^= low
+                    if tick is not None:
+                        tick()
+                    free |= adj[low.bit_length() - 1]
+                free &= ~s
+                while free:
+                    u = free & -free
+                    free ^= u
+                    key = s | u
+                    grown[key] = grown.get(key, 0) | u
             if grown:
                 table.update(grown)
-                last_layer = grown
+                top = grown
             layer = grown
     except SearchBudgetExceeded:
-        optimal = False
-    final_mask = min(last_layer)
-    end = last_layer[final_mask] & -last_layer[final_mask]
-    e = end.bit_length() - 1
+        return table, top, False
+    return table, top, True
+
+
+def _longest_path_dp(g: Graph, meter: _Meter) -> tuple[list[int], bool]:
+    """Longest path rebuilt from the subset table, and whether it is optimal.
+
+    The meter ticks once per (subset, end) state of _path_table; when it runs
+    out, the path is rebuilt from the last complete layer and is not optimal.
+    """
+    adj = g.adj
+    table, top, optimal = _path_table(adj, meter.tick)
+    mask = min(top)
+    e = (top[mask] & -top[mask]).bit_length() - 1
     path = [e]
-    mask = final_mask
     while mask.bit_count() > 1:
-        prev = mask ^ 1 << e
-        prev_ends = table[prev] & adj[e]
+        mask ^= 1 << e
+        prev_ends = table[mask] & adj[e]
         e = (prev_ends & -prev_ends).bit_length() - 1
         path.append(e)
-        mask = prev
     path.reverse()
     return path, optimal
 

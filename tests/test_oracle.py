@@ -3,6 +3,7 @@ generators, and the verification suites."""
 
 import hashlib
 import json
+from itertools import permutations
 
 import networkx as nx
 import pytest
@@ -14,6 +15,7 @@ from pathforce.graph import (
     BipartitionView,
     Graph,
     PathWitness,
+    bits,
     build_graph,
     decode_graph6,
     encode_graph6,
@@ -32,7 +34,13 @@ from pathforce.oracle import (
     random_bipartite_instance,
     run_suite,
 )
-from pathforce.solvers import LemmaViolationError, contains_path, longest_path
+from pathforce.solvers import (
+    LemmaViolationError,
+    SearchBudgetExceeded,
+    _path_table,
+    contains_path,
+    longest_path,
+)
 from sample_graphs import all_labeled_graphs
 
 KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346, 9: 274668}
@@ -198,9 +206,19 @@ class TestEnumeration:
 TRACEABLE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 5, 5: 18, 6: 91, 7: 734, 8: 10030}
 
 
+def path_table(adj):
+    table, _, complete = _path_table(adj)
+    assert complete
+    return table
+
+
 def table_says_traceable(adj, nb):
-    ends, pairs = oracle._split_ends(adj)
-    return bool(nb & ends or any(nb & p == p for p in pairs))
+    # P + w is traceable iff N(w) meets an end of a Hamiltonian path of P,
+    # or ends of paths covering some S and V - S
+    table = path_table(adj)
+    full = (1 << len(adj)) - 1
+    return bool(nb & table.get(full, 0)) or any(
+        nb & table.get(s, 0) and nb & table.get(full ^ s, 0) for s in range(1, full))
 
 
 def grown(adj, nb):
@@ -209,7 +227,49 @@ def grown(adj, nb):
     return Graph(n_prev + 1, tuple(rows))
 
 
-class TestSplitEnds:
+def hamiltonian_ends(adj, s):
+    """Ends of the Hamiltonian paths of G[S], by brute force over orders."""
+    ends = 0
+    for perm in permutations(bits(s)):
+        if all(adj[a] >> b & 1 for a, b in zip(perm, perm[1:])):
+            ends |= 1 << perm[0] | 1 << perm[-1]
+    return ends
+
+
+class TestPathTable:
+    def test_matches_brute_force_to_six(self):
+        for n in range(1, 7):
+            for cert in level_certs(n):
+                adj = graph_from_certificate(n, cert).adj
+                table = path_table(adj)
+                for s in range(1, 1 << n):
+                    assert table.get(s, 0) == hamiltonian_ends(adj, s), (n, cert, s)
+                assert 0 not in table.values()
+
+    def test_budget_cut_keeps_whole_layers(self):
+        adj = graph_from_certificate(7, level_certs(7)[500]).adj
+        table, top, complete = _path_table(adj)
+        assert complete
+        size = max(s.bit_count() for s in table)
+        assert top == {s: r for s, r in table.items() if s.bit_count() == size}
+        states = sum(r.bit_count() for r in table.values())  # one tick each
+        for limit in range(states + 2):
+            calls = []
+
+            def tick():
+                calls.append(1)
+                if len(calls) > limit:
+                    raise SearchBudgetExceeded("cut", len(calls))
+
+            cut, cut_top, cut_complete = _path_table(adj, tick)
+            assert cut_complete == (limit >= states)
+            if cut_complete:
+                assert cut == table and cut_top == top
+                continue
+            size = max(s.bit_count() for s in cut)
+            assert cut == {s: r for s, r in table.items() if s.bit_count() <= size}
+            assert cut_top == {s: r for s, r in table.items() if s.bit_count() == size}
+
     def test_matches_path_search_to_six(self):
         for n_prev in range(1, 7):
             for cert in level_certs(n_prev):
@@ -221,8 +281,9 @@ class TestSplitEnds:
     def test_new_vertex_joins_two_paths(self):
         # 2K2 has no Hamiltonian path; w on 1 and 2 gives 0-1-w-2-3
         adj = build_graph(4, [(0, 1), (2, 3)]).adj
-        ends, pairs = oracle._split_ends(adj)
-        assert ends == 0 and 0b0110 in pairs
+        table = path_table(adj)
+        assert 0b1111 not in table
+        assert table[0b0011] == 0b0011 and table[0b1100] == 0b1100
         assert table_says_traceable(adj, 0b0110)
         path = contains_path(grown(adj, 0b0110), 5).vertices
         assert 4 in path[1:-1]
@@ -231,8 +292,7 @@ class TestSplitEnds:
         # w on 1 and 3 of the path 0-1-2-3-4: the leaves 0 and 4 must end a
         # Hamiltonian path, and 0-1 ... 3-4 cannot hold both 2 and w
         adj = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]).adj
-        ends, _ = oracle._split_ends(adj)
-        assert ends == 0b10001
+        assert path_table(adj)[0b11111] == 0b10001
         assert not table_says_traceable(adj, 0b01010)
         assert contains_path(grown(adj, 0b01010), 6) is None
 

@@ -1,5 +1,6 @@
 """Exact path and cycle searches, budgets, and the guarantee-backed solvers."""
 
+import hashlib
 import random
 import time
 from itertools import combinations, permutations
@@ -221,6 +222,22 @@ class TestLongestPath:
         assert 1 <= res.length < 16
         res.witness.validate(g)
         assert len(res.witness.vertices) == res.length
+
+    def test_dp_answers_pinned(self):
+        # every (length, witness, optimal) of the dp reference on seeded
+        # graphs, unbudgeted and under a small node limit, and on K16 cut at
+        # 1,000 nodes; captured when the dp engine kept its own subset table
+        rng = random.Random(421)
+        answers = []
+        for _ in range(600):
+            g = random_graph(rng, rng.randrange(1, 15), rng.choice([0.15, 0.3, 0.5, 0.8]))
+            for budget in (None, SearchBudget(node_limit=rng.randrange(1, 200))):
+                answers.append(longest_path(g, budget, engine="dp"))
+        answers.append(longest_path(complete_graph(16), SearchBudget(node_limit=1000), engine="dp"))
+        pins = [(r.length, r.witness.vertices if r.witness else None, r.optimal) for r in answers]
+        assert (len(pins), sum(not optimal for *_, optimal in pins)) == (1201, 326)
+        assert hashlib.sha256(repr(pins).encode()).hexdigest() == \
+            "220b294842c510e49ab2f8e62d4ac7ee516a378fda8adc9da9b418e34799a007"
 
     def test_isomorphic_components_searched_once(self):
         # four disjoint friendship graphs F3 (three triangles on one hub);
